@@ -2,8 +2,8 @@
 // summary and compares two such summaries for regressions. It is the
 // engine behind the bench-gate CI job: `make bench-json` pipes the
 // guarded benchmarks through `benchdiff -emit` to produce
-// BENCH_PR4.json, and the gate then runs `benchdiff -baseline
-// BENCH_baseline.json -current BENCH_PR4.json`, which exits non-zero
+// BENCH_PR<N>.json, and the gate then runs `benchdiff -baseline
+// BENCH_baseline.json -current BENCH_PR<N>.json`, which exits non-zero
 // on a >15% ns/op regression or on allocs/op growth beyond a 0.1%
 // noise floor. The floor exists because the end-to-end benchmarks
 // count allocations through sync.Pool, whose GC-driven evictions make
@@ -15,7 +15,9 @@
 //
 // With -count > 1 each benchmark appears several times in the input;
 // the summary keeps the per-metric minimum, the standard way to
-// suppress scheduler noise on shared CI runners.
+// suppress scheduler noise on shared CI runners. The emitted summary
+// also records the core count and Go version it was measured with;
+// the comparison ignores both.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +40,12 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// Summary is the emitted JSON document.
+// Summary is the emitted JSON document. Nproc and Go describe the
+// machine and toolchain of the run; they are omitted from summaries
+// that predate them, such as the committed baseline.
 type Summary struct {
+	Nproc      int               `json:"nproc,omitempty"`
+	Go         string            `json:"go,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
@@ -82,6 +89,7 @@ func emitSummary(r io.Reader, path string) error {
 	if len(sum.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines in input")
 	}
+	sum.Nproc, sum.Go = runtime.NumCPU(), runtime.Version()
 	data, err := marshalStable(sum)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -141,5 +142,37 @@ func TestEmitRoundTrip(t *testing.T) {
 	}
 	if len(sum.Benchmarks) != 2 {
 		t.Errorf("round-trip kept %d benchmarks, want 2", len(sum.Benchmarks))
+	}
+}
+
+// TestEmitRecordsMachine checks that -emit stamps the summary with the
+// core count and Go version, and that compare ignores them against a
+// baseline that lacks both.
+func TestEmitRecordsMachine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := emitSummary(strings.NewReader(sampleBench), path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"nproc"`, `"go"`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("summary lacks %s:\n%s", key, data)
+		}
+	}
+	sum, err := loadSummary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Nproc != runtime.NumCPU() || sum.Go != runtime.Version() {
+		t.Errorf("nproc=%d go=%q, want %d %q", sum.Nproc, sum.Go, runtime.NumCPU(), runtime.Version())
+	}
+	base := writeSummary(t, dir, "base.json", Summary{Benchmarks: sum.Benchmarks})
+	var out strings.Builder
+	if n, err := compare(base, path, 15, 0.1, &out); err != nil || n != 0 {
+		t.Errorf("compare against a baseline without nproc/go: regressions=%d err=%v\n%s", n, err, out.String())
 	}
 }

@@ -6,6 +6,7 @@
 package gm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -283,6 +284,36 @@ func (h *Host) PublishMetrics(r *metrics.Registry) {
 	}
 }
 
+// Send failures. They are sentinels rather than formatted errors
+// because the open-loop drivers hit them on every shed arrival; test
+// for them with errors.Is.
+var (
+	ErrNoSendTokens = errors.New("gm: port has no free send tokens")
+	ErrNoRouteTable = errors.New("gm: host has no route table")
+	ErrPeerDead     = errors.New("gm: peer was declared dead")
+	ErrNoRoute      = errors.New("gm: no route to peer")
+)
+
+// routeTo resolves dst to an encoded wire header and packet type, the
+// checks shared by Host.SendTracked and Port.Send.
+func (h *Host) routeTo(dst topology.NodeID) ([]byte, packet.Type, error) {
+	if h.tbl == nil {
+		return nil, 0, ErrNoRouteTable
+	}
+	if h.PeerDead(dst) {
+		return nil, 0, ErrPeerDead
+	}
+	r, ok := h.tbl.Lookup(h.node, dst)
+	if !ok {
+		return nil, 0, ErrNoRoute
+	}
+	hdr, err := r.EncodeHeader()
+	if err != nil {
+		return nil, 0, err
+	}
+	return hdr, packetTypeFor(r), nil
+}
+
 // packetTypeFor returns the wire type a route requires.
 func packetTypeFor(r *routing.Route) packet.Type {
 	if r.NumITBs() > 0 {
@@ -303,21 +334,11 @@ func (h *Host) Send(dst topology.NodeID, payload []byte) error {
 // does: the message was never accepted). Fault campaigns use this to
 // account for every message as delivered or reported dropped.
 func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFailed func()) error {
-	if h.tbl == nil {
-		return fmt.Errorf("gm: host %d has no route table", h.node)
-	}
-	if h.PeerDead(dst) {
-		return fmt.Errorf("gm: peer %d was declared dead", dst)
-	}
-	r, ok := h.tbl.Lookup(h.node, dst)
-	if !ok {
-		return fmt.Errorf("gm: no route %d->%d", h.node, dst)
-	}
-	hdr, err := r.EncodeHeader()
+	hdr, typ, err := h.routeTo(dst)
 	if err != nil {
 		return err
 	}
-	h.sendPort(dst, payload, hdr, packetTypeFor(r), 0, 0, onAcked, onFailed)
+	h.sendPort(dst, payload, hdr, typ, 0, 0, onAcked, onFailed)
 	return nil
 }
 

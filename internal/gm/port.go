@@ -92,28 +92,17 @@ func (p *Port) drain() {
 // Send transmits payload to a port on another host, consuming one
 // send token. The token returns when GM has acknowledged the whole
 // message (or immediately after the tail leaves, with acks disabled).
-// It fails when no token is free — the caller must pace itself, as GM
-// programs do.
+// It fails with ErrNoSendTokens when no token is free — the caller
+// must pace itself, as GM programs do.
 func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	if p.sendTokens == 0 {
-		return fmt.Errorf("gm: port %d of host %d has no free send tokens", p.id, p.host.node)
+		return ErrNoSendTokens
 	}
 	h := p.host
-	if h.tbl == nil {
-		return fmt.Errorf("gm: host %d has no route table", h.node)
-	}
-	if h.PeerDead(dst) {
-		return fmt.Errorf("gm: peer %d was declared dead", dst)
-	}
-	r, ok := h.tbl.Lookup(h.node, dst)
-	if !ok {
-		return fmt.Errorf("gm: no route %d->%d", h.node, dst)
-	}
-	hdr, err := r.EncodeHeader()
+	hdr, typ, err := h.routeTo(dst)
 	if err != nil {
 		return err
 	}
-	typ := packetTypeFor(r)
 	p.sendTokens--
 	// The send token comes back on either outcome: acknowledgement or
 	// dead-peer failure — otherwise a failed peer would strand the

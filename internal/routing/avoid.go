@@ -34,10 +34,6 @@ func (a *Avoid) avoidsLink(id int) bool {
 	return a != nil && a.Links[id]
 }
 
-func (a *Avoid) avoidsHost(h topology.NodeID) bool {
-	return a != nil && a.Hosts[h]
-}
-
 // hostDead reports whether a host is unusable: marked failed, not
 // cabled, or cabled through a failed link.
 func (a *Avoid) hostDead(t *topology.Topology, h topology.NodeID) bool {

@@ -63,7 +63,6 @@ type Engine struct {
 	slots   []slot
 	free    []int32 // free slot indexes (LIFO)
 	heap    []int32 // slot indexes ordered by (at, seq)
-	live    int     // queued, uncancelled events (heap minus cancelled residue)
 	stopped bool
 	fired   uint64
 }
@@ -77,16 +76,8 @@ func NewEngine() *Engine {
 func (e *Engine) Now() units.Time { return e.now }
 
 // Pending returns the number of events waiting to fire (including
-// cancelled events that have not yet been drained). It overcounts the
-// work remaining after cancellations; quiescence checks must use
-// LiveCount.
+// cancelled events that have not yet been drained).
 func (e *Engine) Pending() int { return len(e.heap) }
-
-// LiveCount returns the exact number of queued, uncancelled events.
-// Unlike Pending it excludes cancelled-but-undrained heap entries, so
-// LiveCount() == 0 is a correct quiescence test (used by the PDES
-// coordinator for termination detection).
-func (e *Engine) LiveCount() int { return e.live }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -150,7 +141,6 @@ func (e *Engine) schedule(t units.Time, fn func(), afn func(any), arg any) Event
 	s.at, s.seq = t, e.seq
 	s.fn, s.afn, s.arg = fn, afn, arg
 	e.seq++
-	e.live++
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
 	return Event{idx: idx, gen: s.gen}
@@ -169,9 +159,6 @@ func (e *Engine) Cancel(ev Event) {
 	// Leave the slot in the heap; it is recycled when popped. This
 	// keeps Cancel O(1), which matters for the GM layer's
 	// retransmission timers (almost all of which are cancelled).
-	if s.live() {
-		e.live--
-	}
 	s.fn, s.afn, s.arg = nil, nil, nil
 }
 
@@ -221,7 +208,6 @@ func (e *Engine) Step() bool {
 		if at < e.now {
 			panic("sim: time went backwards")
 		}
-		e.live--
 		e.now = at
 		e.fired++
 		if fn != nil {
