@@ -1,10 +1,10 @@
 GO ?= go
 
 # Benchmarks guarded by the bench-gate CI job (see cmd/benchdiff).
-GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep)$$
+GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkRouteTableBuild|BenchmarkRouteTableBuildDragonfly72)$$
 # Output file for bench-json: the committed bench record of the latest
 # change (BENCH_PR<N>.json), compared against BENCH_baseline.json.
-BENCH_JSON ?= BENCH_PR12.json
+BENCH_JSON ?= BENCH_PR13.json
 
 .PHONY: all build test test-race vet lint vulncheck bench bench-json bench-gate fuzz fuzz-smoke cover experiments golden clean
 

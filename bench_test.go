@@ -421,9 +421,28 @@ func BenchmarkRouteTableBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	ud := topology.BuildUpDown(topo)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := routing.BuildTable(topo, ud, routing.ITBRouting); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteTableBuildDragonfly72 measures the updown-itb engine's
+// host-pair table build on dragonfly-72, the route set-up of every
+// open-loop load cell on that topology.
+func BenchmarkRouteTableBuildDragonfly72(b *testing.B) {
+	topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(72))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var e routing.UpDownITBEngine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.BuildTable(topo, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,6 +46,10 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 	loads := make(map[Channel]int)
 	totalHops, totalITBs := 0, 0
 	minimalCount := 0
+	// Minimal hop counts come from one unrestricted BFS per source
+	// switch.
+	var s searchScratch
+	plain := make([]*srcTree, t.NumNodes())
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src == dst {
@@ -82,8 +86,13 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 			}
 			srcSw, _ := t.SwitchOf(src)
 			dstSw, _ := t.SwitchOf(dst)
-			if hops == len(MinimalSwitchPath(t, srcSw, dstSw)) {
-				minimalCount++
+			if plain[srcSw] == nil {
+				plain[srcSw] = s.bfsTree(t, nil, srcSw, nil)
+			}
+			if goal := plain[srcSw].goal[dstSw]; goal >= 0 {
+				if minHops, _ := plain[srcSw].depth(goal); hops == minHops {
+					minimalCount++
+				}
 			}
 		}
 	}

@@ -79,14 +79,8 @@ func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topol
 //
 // A nil avoid makes it equivalent to BuildTable.
 func BuildTableAvoiding(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, error) {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
 	hosts := t.Hosts()
+	tbl := newTable(alg, avoid, "", nil, len(hosts)*len(hosts))
 	for _, src := range hosts {
 		if avoid.hostDead(t, src) {
 			continue
@@ -103,5 +97,6 @@ func BuildTableAvoiding(t *topology.Topology, ud *topology.UpDown, alg Algorithm
 			tbl.routes[[2]topology.NodeID{src, dst}] = r
 		}
 	}
+	tbl.release()
 	return tbl, nil
 }

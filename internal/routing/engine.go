@@ -145,16 +145,8 @@ type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, e
 // set, pairs with dead endpoints or no surviving path are omitted,
 // matching BuildTableAvoiding.
 func buildEngineTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) (*Table, error) {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-		engine:    engine,
-		pathFn:    fn,
-	}
 	hosts := t.Hosts()
+	tbl := newTable(alg, avoid, engine, fn, len(hosts)*len(hosts))
 	for _, src := range hosts {
 		if avoid.hostDead(t, src) {
 			continue
@@ -173,6 +165,7 @@ func buildEngineTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm, 
 			tbl.routes[[2]topology.NodeID{src, dst}] = r
 		}
 	}
+	tbl.release()
 	return tbl, nil
 }
 
@@ -184,16 +177,8 @@ func rebuildEngineTable(prev *Table, t *topology.Topology, ud *topology.UpDown, 
 		tbl, err := buildEngineTable(t, ud, alg, avoid, engine, fn)
 		return tbl, 0, err
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-		engine:    engine,
-		pathFn:    fn,
-	}
 	hosts := t.Hosts()
+	tbl := newTable(alg, avoid, engine, fn, len(hosts)*len(hosts))
 	reused := 0
 	type pair struct{ src, dst topology.NodeID }
 	var missing []pair
@@ -223,5 +208,6 @@ func rebuildEngineTable(prev *Table, t *topology.Topology, ud *topology.UpDown, 
 		}
 		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
 	}
+	tbl.release()
 	return tbl, reused, nil
 }

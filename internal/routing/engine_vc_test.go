@@ -124,7 +124,7 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 		if srcSw == dstSw {
 			continue
 		}
-		trav, _, err := searchPath(topo, ud, srcSw, dstSw, nil)
+		trav, err := searchPath(topo, ud, srcSw, dstSw, nil)
 		if err != nil {
 			t.Fatalf("legacy search %d->%d: %v", srcSw, dstSw, err)
 		}

@@ -196,9 +196,11 @@ func (g *engineGraph) plainBFS(src int32, avoid *Avoid, dist []int32, queue []in
 	}
 }
 
-// itbHeap2 is a slice-backed binary min-heap of (cost, state) pairs
-// for the bulk in-transit Dijkstra. Allocation-free across sources
-// when the backing slice is reused.
+// itbHeapEntry is one entry of the slice-backed binary min-heap of
+// (cost, state) pairs the in-transit Dijkstras share. heapPush and
+// heapPop sift exactly as container/heap does, so equal-cost entries
+// pop in container/heap's order. Allocation-free across sources when
+// the backing slice is reused.
 type itbHeapEntry struct {
 	cost  int64
 	state int32
@@ -246,7 +248,7 @@ func heapPop(h []itbHeapEntry) (itbHeapEntry, []itbHeapEntry) {
 // the layered state graph: hop edges cost hopCost(1,0), the zero-hop
 // reset edge (phase 1 -> 0, available where canReset) costs
 // hopCost(0,1), so the lexicographic (hops, ITBs) minimum is found for
-// every destination — the bulk form of searchPathITB.
+// every destination.
 func (g *engineGraph) itbSearch(src int32, avoid *Avoid, canReset []bool, st *searchTree, heap []itbHeapEntry) {
 	st.reset()
 	start := src * 2

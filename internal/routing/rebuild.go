@@ -40,14 +40,8 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 		tbl, err := BuildTableAvoiding(t, ud, alg, avoid)
 		return tbl, 0, err
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
 	hosts := t.Hosts()
+	tbl := newTable(alg, avoid, "", nil, len(hosts)*len(hosts))
 	reused := 0
 	type pair struct{ src, dst topology.NodeID }
 	var missing []pair
@@ -79,6 +73,7 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 		}
 		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
 	}
+	tbl.release()
 	return tbl, reused, nil
 }
 
@@ -110,13 +105,7 @@ type lazyRebuild struct {
 // The returned table is for single-goroutine simulation use: Lookup
 // mutates it.
 func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, reused *uint64) *Table {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
+	tbl := newTable(alg, avoid, "", nil, 0)
 	if prev != nil && prev.Algorithm != alg {
 		prev = nil
 	}
@@ -173,12 +162,6 @@ func FindRoute(t *topology.Topology, ud *topology.UpDown, alg Algorithm, src, ds
 	if avoid.hostDead(t, src) || avoid.hostDead(t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
+	tbl := newTable(alg, avoid, "", nil, 0)
 	return tbl.buildRoute(t, ud, src, dst)
 }

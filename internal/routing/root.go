@@ -11,41 +11,16 @@ import (
 func RootQuality(t *topology.Topology, ud *topology.UpDown) int {
 	sws := t.Switches()
 	total := 0
+	var s searchScratch
 	for _, src := range sws {
 		// One BFS over (switch, phase) states per source covers all
 		// destinations.
-		type st struct {
-			sw topology.NodeID
-			ph phase
-		}
-		dist := map[st]int{{sw: src, ph: phaseUpOK}: 0}
-		best := map[topology.NodeID]int{src: 0}
-		queue := []st{{sw: src, ph: phaseUpOK}}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			d := dist[cur]
-			for _, nb := range sortedSwitchNeighbors(t, cur.sw) {
-				dir := ud.DirectionOf(nb.Link, cur.sw)
-				if cur.ph == phaseDowned && dir == topology.Up {
-					continue
-				}
-				next := st{sw: nb.Node, ph: cur.ph}
-				if dir == topology.Down {
-					next.ph = phaseDowned
-				}
-				if _, seen := dist[next]; seen {
-					continue
-				}
-				dist[next] = d + 1
-				if b, ok := best[next.sw]; !ok || d+1 < b {
-					best[next.sw] = d + 1
-				}
-				queue = append(queue, next)
-			}
-		}
+		tr := s.bfsTree(t, ud, src, nil)
 		for _, dst := range sws {
-			total += best[dst]
+			if goal := tr.goal[dst]; goal >= 0 {
+				hops, _ := tr.depth(goal)
+				total += hops
+			}
 		}
 	}
 	return total

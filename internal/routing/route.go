@@ -36,6 +36,10 @@ type Route struct {
 	// 0 (every lane-less engine); when non-nil its length must equal
 	// len(LinkPath).
 	Lanes []uint8
+	// header and headerErr are the encoded wire header, computed once
+	// when a Table assembles the route.
+	header    []byte
+	headerErr error
 }
 
 // Traversal is one directed use of a link.
@@ -68,10 +72,16 @@ func (r *Route) PortTypeMix() (san, lan int) {
 	return san, lan
 }
 
-// EncodeHeader produces the wire route bytes for the packet header:
+// EncodeHeader returns the wire route bytes for the packet header:
 // the first segment's port bytes, then for each further segment an
 // ITB tag, the remaining length, and the segment's bytes (Figure 3.b).
+// A route built by a Table returns the header it encoded at build
+// time, shared by every caller: the slice is read-only, so copy it
+// into the packet rather than handing it over.
 func (r *Route) EncodeHeader() ([]byte, error) {
+	if r.header != nil || r.headerErr != nil {
+		return r.header, r.headerErr
+	}
 	return packet.BuildITBRoute(r.Segments)
 }
 

@@ -76,7 +76,7 @@ func TestPathEndpointErrors(t *testing.T) {
 	tp := topology.Linear(2, 1)
 	ud := topology.BuildUpDown(tp)
 	host := tp.Hosts()[0]
-	if _, _, err := searchPath(tp, ud, host, tp.Switches()[0], nil); err == nil {
+	if _, err := searchPath(tp, ud, host, tp.Switches()[0], nil); err == nil {
 		t.Error("host endpoint accepted")
 	}
 	if _, _, err := ITBSwitchPath(tp, ud, host, tp.Switches()[0]); err == nil {

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -147,8 +148,10 @@ type Topology struct {
 	// switchNbrs caches, per node, its switch neighbours over
 	// non-loopback links sorted by (far node, link id) — the traversal
 	// order of the routing searches, which walk these lists once per
-	// BFS visit. Built lazily; any mutation drops it.
+	// BFS visit — and hostsAt its attached hosts in id order. Built
+	// lazily together; any mutation drops both.
 	switchNbrs [][]Neighbor
+	hostsAt    [][]NodeID
 }
 
 // New returns an empty topology to be populated with AddSwitch,
@@ -273,20 +276,14 @@ func (t *Topology) Hosts() []NodeID {
 	return out
 }
 
-// HostsAt returns the hosts directly cabled to switch sw.
+// HostsAt returns the hosts directly cabled to switch sw, in id
+// order. Like SwitchNeighbors, the slice is cached across calls and
+// must be treated as read-only.
 func (t *Topology) HostsAt(sw NodeID) []NodeID {
-	var out []NodeID
-	for _, l := range t.byPort[sw] {
-		if l == nil {
-			continue
-		}
-		o := l.Other(sw)
-		if t.nodes[o].Kind == KindHost {
-			out = append(out, o)
-		}
+	if t.switchNbrs == nil {
+		t.buildAdjacency()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t.hostsAt[sw]
 }
 
 // SwitchOf returns the switch a host is cabled to.
@@ -329,25 +326,34 @@ type Neighbor struct {
 // runner gives each worker its own copy, re-parsed from text).
 func (t *Topology) SwitchNeighbors(n NodeID) []Neighbor {
 	if t.switchNbrs == nil {
-		t.buildSwitchNbrs()
+		t.buildAdjacency()
 	}
 	return t.switchNbrs[n]
 }
 
-func (t *Topology) buildSwitchNbrs() {
+// buildAdjacency fills the SwitchNeighbors and HostsAt caches.
+func (t *Topology) buildAdjacency() {
 	t.switchNbrs = make([][]Neighbor, len(t.nodes))
+	t.hostsAt = make([][]NodeID, len(t.nodes))
 	for _, nd := range t.nodes {
 		var out []Neighbor
+		var hosts []NodeID
 		for port, l := range t.byPort[nd.ID] {
-			if l == nil || l.IsLoopback() {
+			if l == nil {
 				continue
 			}
 			o := l.Other(nd.ID)
-			if t.nodes[o].Kind != KindSwitch {
+			if t.nodes[o].Kind == KindHost {
+				hosts = append(hosts, o)
+				continue
+			}
+			if l.IsLoopback() || t.nodes[o].Kind != KindSwitch {
 				continue
 			}
 			out = append(out, Neighbor{Link: l, Node: o, Port: port})
 		}
+		slices.Sort(hosts)
+		t.hostsAt[nd.ID] = hosts
 		sort.Slice(out, func(i, j int) bool {
 			if out[i].Node != out[j].Node {
 				return out[i].Node < out[j].Node
