@@ -19,6 +19,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/mcp"
 	"repro/internal/metrics"
+	"repro/internal/recovery"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -632,4 +633,30 @@ func BenchmarkVCAblationSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(itbs), "itbs")
+}
+
+// BenchmarkGossipChurn runs one gossip-detector churn campaign on a
+// 16-switch generated topology, the cell shape of the churn-gossip
+// workload: every per-agent table install resolves routes lazily, so
+// it exercises the route store, the GM connection walk and the
+// exclusion-set probes.
+func BenchmarkGossipChurn(b *testing.B) {
+	runner.SetWorkers(1)
+	defer runner.SetWorkers(0)
+	cfg := core.DefaultRecoveryStudyConfig(routing.ITBRouting, 16, 1)
+	cfg.Detector = recovery.DetectorGossip
+	cfg.Periods = []units.Time{150 * units.Microsecond}
+	cfg.ChurnEvents = []int{6}
+	cfg.CampaignsPerCell = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var delivered uint64
+	for i := 0; i < b.N; i++ {
+		res, err := core.RunRecoveryStudy(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered = res.Rows[0].Delivered
+	}
+	b.ReportMetric(float64(delivered), "delivered")
 }

@@ -18,6 +18,8 @@ import (
 type conn struct {
 	h    *Host
 	peer topology.NodeID
+	// ordinal is the conn's opening order on its host (Host.opened).
+	ordinal int
 
 	// Sender state. Sequence numbers count packets, not bytes.
 	nextSeq   uint32 // next sequence number to assign
@@ -54,9 +56,9 @@ type conn struct {
 	ackTimer    sim.Event
 }
 
-func newConn(h *Host, peer topology.NodeID) *conn {
+func newConn(h *Host, peer topology.NodeID, ordinal int) *conn {
 	return &conn{
-		h: h, peer: peer,
+		h: h, peer: peer, ordinal: ordinal,
 		submitted: make(map[uint32]bool),
 		acked:     make(map[uint32]func()),
 		failed:    make(map[uint32]func()),

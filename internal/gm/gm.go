@@ -8,7 +8,6 @@ package gm
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/mcp"
 	"repro/internal/metrics"
@@ -114,9 +113,13 @@ type Host struct {
 	par  Params
 	tbl  *routing.Table
 
-	conns map[topology.NodeID]*conn
-	ports map[uint8]*Port
-	msgID uint32
+	// conns is indexed by peer node id (nil: no conn opened yet), and
+	// opened counts the conns ever opened; each conn keeps its opening
+	// ordinal.
+	conns  []*conn
+	opened int
+	ports  map[uint8]*Port
+	msgID  uint32
 	// epoch is the version of the installed route table (0 until the
 	// recovery protocol publishes one); outgoing packets are stamped
 	// with it.
@@ -160,12 +163,11 @@ func NewHost(eng *sim.Engine, m *mcp.MCP, tbl *routing.Table, par Params) *Host 
 		panic("gm: non-positive window")
 	}
 	h := &Host{
-		eng:   eng,
-		m:     m,
-		node:  m.Host(),
-		par:   par,
-		tbl:   tbl,
-		conns: make(map[topology.NodeID]*conn),
+		eng:  eng,
+		m:    m,
+		node: m.Host(),
+		par:  par,
+		tbl:  tbl,
 	}
 	m.OnDeliver = h.deliver
 	return h
@@ -216,14 +218,15 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch > h.epoch {
 		h.epoch = epoch
 	}
-	peers := make([]topology.NodeID, 0, len(h.conns))
-	for p := range h.conns {
-		peers = append(peers, p)
-	}
-	slices.Sort(peers)
-	for _, p := range peers {
-		c := h.conns[p]
-		r, ok := tbl.Lookup(h.node, p)
+	// Only the conns open when the walk starts are reconciled: a
+	// callback fired inside it (a failed message's onFailed, or
+	// OnPeerDead) may open more, and those wait for the next install.
+	opened := h.opened
+	for _, c := range h.conns {
+		if c == nil || c.ordinal >= opened {
+			continue
+		}
+		r, ok := tbl.Lookup(h.node, c.peer)
 		switch {
 		case !ok:
 			if !c.dead && (len(c.inflight) > 0 || c.backlog.Len() > 0) {
@@ -243,7 +246,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 
 // PeerDead reports whether the dead-peer verdict was issued for dst.
 func (h *Host) PeerDead(dst topology.NodeID) bool {
-	c := h.conns[dst]
+	c := h.peerConn(dst)
 	return c != nil && c.dead
 }
 
@@ -396,12 +399,25 @@ func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ p
 	})
 }
 
-func (h *Host) connTo(peer topology.NodeID) *conn {
-	c := h.conns[peer]
-	if c == nil {
-		c = newConn(h, peer)
-		h.conns[peer] = c
+// peerConn returns the conn to peer, or nil if none was opened.
+func (h *Host) peerConn(peer topology.NodeID) *conn {
+	if uint(peer) < uint(len(h.conns)) {
+		return h.conns[peer]
 	}
+	return nil
+}
+
+// connTo returns the conn to peer, opening it on first use.
+func (h *Host) connTo(peer topology.NodeID) *conn {
+	if c := h.peerConn(peer); c != nil {
+		return c
+	}
+	if n := int(peer) + 1; n > len(h.conns) {
+		h.conns = append(h.conns, make([]*conn, n-len(h.conns))...)
+	}
+	c := newConn(h, peer, h.opened)
+	h.opened++
+	h.conns[peer] = c
 	return c
 }
 

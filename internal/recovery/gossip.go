@@ -154,11 +154,13 @@ type Gossip struct {
 	deadVotes    []int
 	quorum       int
 
-	nonce       uint32
-	epoch       uint32
-	spreadTx    int // dissemination budget per update (≈ 3·log₂N)
-	started     bool
-	routeCache  map[int64][]byte // (from<<32|to) -> encoded header; nil entry = unreachable
+	nonce    uint32
+	epoch    uint32
+	spreadTx int // dissemination budget per update (≈ 3·log₂N)
+	started  bool
+	// probeRoutes is a lazy up*/down* table of probe routes: each
+	// pair is searched on first use and memoized, unreachable or not.
+	probeRoutes *routing.Table
 	tableCache  map[string]*routing.Table
 	keyBuf      []byte // deadKey scratch
 	stats       Stats
@@ -180,18 +182,18 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 		return nil, fmt.Errorf("recovery: gossip needs at least two hosts")
 	}
 	g := &Gossip{
-		cfg:        cfg.withDefaults(),
-		eng:        tgt.Eng,
-		topo:       tgt.Topo,
-		ud:         tgt.UD,
-		alg:        tgt.Alg,
-		base:       tgt.Base,
-		hosts:      tgt.Hosts,
-		tracer:     tgt.Tracer,
-		idxOf:      make(map[topology.NodeID]int, len(tgt.Hosts)),
-		glob:       make([]globView, len(tgt.Hosts)),
-		routeCache: make(map[int64][]byte),
-		tableCache: make(map[string]*routing.Table),
+		cfg:         cfg.withDefaults(),
+		eng:         tgt.Eng,
+		topo:        tgt.Topo,
+		ud:          tgt.UD,
+		alg:         tgt.Alg,
+		base:        tgt.Base,
+		hosts:       tgt.Hosts,
+		tracer:      tgt.Tracer,
+		idxOf:       make(map[topology.NodeID]int, len(tgt.Hosts)),
+		glob:        make([]globView, len(tgt.Hosts)),
+		probeRoutes: routing.RebuildAvoidingLazy(nil, tgt.Topo, tgt.UD, routing.UpDownRouting, nil, nil),
+		tableCache:  make(map[string]*routing.Table),
 	}
 	g.suspectVotes = make([]int, len(tgt.Hosts))
 	g.deadVotes = make([]int, len(tgt.Hosts))
@@ -365,23 +367,19 @@ func (g *Gossip) nextNonce() uint32 {
 	return g.nonce
 }
 
-// route returns the cached up*/down* wire header from host index
-// `from` to host index `to` (nil when no route exists). Gossip
-// probes, like the monitor's, avoid in-transit hosts: a probe must
-// not depend on a host that may itself be the thing being probed.
+// route returns the up*/down* wire header from host index `from` to
+// host index `to` (nil when no route exists). Gossip probes, like the
+// monitor's, avoid in-transit hosts: a probe must not depend on a host
+// that may itself be the thing being probed.
 func (g *Gossip) route(from, to int) []byte {
-	key := int64(from)<<32 | int64(uint32(to))
-	if h, ok := g.routeCache[key]; ok {
-		return h
+	r, ok := g.probeRoutes.Lookup(g.hosts[from].Node(), g.hosts[to].Node())
+	if !ok {
+		return nil
 	}
-	var hdr []byte
-	r, err := routing.FindRoute(g.topo, g.ud, routing.UpDownRouting, g.hosts[from].Node(), g.hosts[to].Node(), nil)
-	if err == nil {
-		if enc, err := r.EncodeHeader(); err == nil {
-			hdr = enc
-		}
+	hdr, err := r.EncodeHeader()
+	if err != nil {
+		return nil
 	}
-	g.routeCache[key] = hdr
 	return hdr
 }
 

@@ -43,7 +43,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -306,11 +305,11 @@ type Manager struct {
 	targets []*hostState // every host but the monitor, in index order
 	byNode  map[topology.NodeID]*hostState
 
-	nonce       uint32
-	outstanding map[uint32]probeInfo
-	epoch       uint32
+	nonce        uint32
+	outstanding  map[uint32]probeInfo
+	epoch        uint32
 	linkSuspects map[int]bool
-	started     bool
+	started      bool
 
 	stats Stats
 	gSkew *metrics.Gauge
@@ -489,9 +488,9 @@ func (m *Manager) runRound(r int) {
 func (m *Manager) refreshProbeRoutes() {
 	var avoid *routing.Avoid
 	if len(m.linkSuspects) > 0 {
-		avoid = &routing.Avoid{Links: make(map[int]bool, len(m.linkSuspects))}
+		avoid = &routing.Avoid{}
 		for id := range m.linkSuspects {
-			avoid.Links[id] = true
+			avoid.AddLink(id)
 		}
 	}
 	for _, hs := range m.targets {
@@ -650,12 +649,12 @@ func (m *Manager) verifyOrConfirm(hs *hostState) {
 // path's inter-switch links (and the standing suspects). nil when no
 // disjoint path exists.
 func (m *Manager) altProbeRoute(hs *hostState) (fwd, ret []byte) {
-	avoid := &routing.Avoid{Links: make(map[int]bool, len(m.linkSuspects)+len(hs.primLinks))}
+	avoid := &routing.Avoid{}
 	for id := range m.linkSuspects {
-		avoid.Links[id] = true
+		avoid.AddLink(id)
 	}
 	for _, id := range hs.primLinks {
-		avoid.Links[id] = true
+		avoid.AddLink(id)
 	}
 	f, err := routing.FindRoute(m.topo, m.ud, routing.UpDownRouting, m.monNode(), hs.node, avoid)
 	if err != nil {
@@ -727,27 +726,22 @@ func (m *Manager) suspectLinks(hs *hostState) {
 // ---------------------------------------------------------------
 // Epoch publication.
 
-// buildAvoid assembles the exclusion set from the current verdicts,
-// deterministically (hosts in target order, links sorted).
+// buildAvoid assembles the exclusion set from the current verdicts:
+// the confirmed hosts and the suspect links, or nil when there are
+// none.
 func (m *Manager) buildAvoid() *routing.Avoid {
 	a := &routing.Avoid{}
+	empty := len(m.linkSuspects) == 0
 	for _, hs := range m.targets {
 		if hs.state == Confirmed {
 			a.AddHost(hs.node)
+			empty = false
 		}
 	}
-	if len(m.linkSuspects) > 0 {
-		ids := make([]int, 0, len(m.linkSuspects))
-		for id := range m.linkSuspects {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		a.Links = make(map[int]bool, len(ids))
-		for _, id := range ids {
-			a.Links[id] = true
-		}
+	for id := range m.linkSuspects {
+		a.AddLink(id)
 	}
-	if a.Hosts == nil && a.Links == nil {
+	if empty {
 		return nil
 	}
 	return a

@@ -7,31 +7,53 @@ import (
 // Avoid is the exclusion set a route recomputation works around: the
 // links and hosts the mapper currently believes dead. A nil *Avoid
 // excludes nothing, so every search helper treats it as "no faults".
+// Both sets are dense, indexed by link id and node id, since the
+// searches probe them on every edge and every in-transit candidate.
 type Avoid struct {
-	Links map[int]bool             // failed link ids
-	Hosts map[topology.NodeID]bool // failed (or stalled) hosts
+	links []bool // failed link ids
+	hosts []bool // failed (or stalled) hosts, by node id
 }
 
 // AvoidLinks builds an Avoid from a list of link ids.
 func AvoidLinks(links ...int) *Avoid {
-	a := &Avoid{Links: make(map[int]bool)}
+	a := &Avoid{}
 	for _, l := range links {
-		a.Links[l] = true
+		a.AddLink(l)
 	}
+	return a
+}
+
+// AddLink marks a link failed, returning the receiver for chaining.
+func (a *Avoid) AddLink(id int) *Avoid {
+	a.links = mark(a.links, id)
 	return a
 }
 
 // AddHost marks a host failed, returning the receiver for chaining.
 func (a *Avoid) AddHost(h topology.NodeID) *Avoid {
-	if a.Hosts == nil {
-		a.Hosts = make(map[topology.NodeID]bool)
-	}
-	a.Hosts[h] = true
+	a.hosts = mark(a.hosts, int(h))
 	return a
 }
 
-func (a *Avoid) avoidsLink(id int) bool {
-	return a != nil && a.Links[id]
+// mark sets set[i], growing the set to cover i.
+func mark(set []bool, i int) []bool {
+	if i >= len(set) {
+		set = append(set, make([]bool, i+1-len(set))...)
+	}
+	set[i] = true
+	return set
+}
+
+// HasLink reports whether link id is marked failed.
+func (a *Avoid) HasLink(id int) bool {
+	return a != nil && uint(id) < uint(len(a.links)) && a.links[id]
+}
+
+// HasHost reports whether host h is marked failed. It does not look at
+// the host's cable; the searches also treat a host behind a failed
+// link as dead.
+func (a *Avoid) HasHost(h topology.NodeID) bool {
+	return a != nil && uint(h) < uint(len(a.hosts)) && a.hosts[h]
 }
 
 // hostDead reports whether a host is unusable: marked failed, not
@@ -40,27 +62,22 @@ func (a *Avoid) hostDead(t *topology.Topology, h topology.NodeID) bool {
 	if a == nil {
 		return false
 	}
-	if a.Hosts[h] {
+	if a.HasHost(h) {
 		return true
 	}
 	hl := t.LinkAt(h, 0)
-	return hl == nil || a.Links[hl.ID]
+	return hl == nil || a.HasLink(hl.ID)
 }
 
-// liveHostsAt returns the hosts of switch sw that can still serve as
-// in-transit buffers under the exclusion set.
-func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topology.NodeID {
-	hosts := t.HostsAt(sw)
-	if avoid == nil {
-		return hosts
-	}
-	live := make([]topology.NodeID, 0, len(hosts))
-	for _, h := range hosts {
+// hasLiveHost reports whether switch sw has a host that can still
+// serve as an in-transit buffer under the exclusion set.
+func hasLiveHost(t *topology.Topology, sw topology.NodeID, avoid *Avoid) bool {
+	for _, h := range t.HostsAt(sw) {
 		if !avoid.hostDead(t, h) {
-			live = append(live, h)
+			return true
 		}
 	}
-	return live
+	return false
 }
 
 // BuildTableAvoiding recomputes the route table around an exclusion
@@ -79,24 +96,7 @@ func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topol
 //
 // A nil avoid makes it equivalent to BuildTable.
 func BuildTableAvoiding(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, error) {
-	hosts := t.Hosts()
-	tbl := newTable(alg, avoid, "", nil, len(hosts)*len(hosts))
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
-		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			r, err := tbl.buildRoute(t, ud, src, dst)
-			if err != nil {
-				// Unreachable under the exclusion set: omit the pair.
-				continue
-			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
-		}
-	}
-	tbl.release()
-	return tbl, nil
+	tbl := newTable(t, alg, avoid, "", nil)
+	err := tbl.buildAll(ud, false)
+	return tbl, err
 }

@@ -221,7 +221,7 @@ func (ct *CompactTable) Validate() error {
 					}
 					d := dir
 					prev = &d
-					if ct.avoid.avoidsLink(l.ID) {
+					if ct.avoid.HasLink(l.ID) {
 						return fmt.Errorf("routing: path crosses excluded link %d", l.ID)
 					}
 					return nil

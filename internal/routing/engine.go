@@ -145,27 +145,10 @@ type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, e
 // set, pairs with dead endpoints or no surviving path are omitted,
 // matching BuildTableAvoiding.
 func buildEngineTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) (*Table, error) {
-	hosts := t.Hosts()
-	tbl := newTable(alg, avoid, engine, fn, len(hosts)*len(hosts))
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
-		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			r, err := tbl.buildRoute(t, ud, src, dst)
-			if err != nil {
-				if avoid != nil {
-					continue // unreachable under the exclusion set
-				}
-				return nil, fmt.Errorf("routing: engine %q: %w", engine, err)
-			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
-		}
+	tbl := newTable(t, alg, avoid, engine, fn)
+	if err := tbl.buildAll(ud, avoid == nil); err != nil {
+		return nil, fmt.Errorf("routing: engine %q: %w", engine, err)
 	}
-	tbl.release()
 	return tbl, nil
 }
 
@@ -177,37 +160,6 @@ func rebuildEngineTable(prev *Table, t *topology.Topology, ud *topology.UpDown, 
 		tbl, err := buildEngineTable(t, ud, alg, avoid, engine, fn)
 		return tbl, 0, err
 	}
-	hosts := t.Hosts()
-	tbl := newTable(alg, avoid, engine, fn, len(hosts)*len(hosts))
-	reused := 0
-	type pair struct{ src, dst topology.NodeID }
-	var missing []pair
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
-		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, avoid) {
-				tbl.routes[[2]topology.NodeID{src, dst}] = r
-				for _, h := range r.ITBHosts {
-					tbl.itbLoad[h]++
-				}
-				reused++
-				continue
-			}
-			missing = append(missing, pair{src, dst})
-		}
-	}
-	for _, p := range missing {
-		r, err := tbl.buildRoute(t, ud, p.src, p.dst)
-		if err != nil {
-			continue // unreachable under the exclusion set: omit
-		}
-		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
-	}
-	tbl.release()
-	return tbl, reused, nil
+	tbl := newTable(t, alg, avoid, engine, fn)
+	return tbl, tbl.rebuildFrom(prev, ud), nil
 }

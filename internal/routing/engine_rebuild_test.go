@@ -62,9 +62,9 @@ func TestEngineRebuildDeadRoot(t *testing.T) {
 			root := ud.Root
 			// Kill every cable touching the orientation root: its hosts
 			// die with their uplinks, and no surviving route may cross it.
-			avoid := &Avoid{Links: make(map[int]bool)}
+			avoid := &Avoid{}
 			for _, nb := range topo.Neighbors(root) {
-				avoid.Links[nb.Link.ID] = true
+				avoid.AddLink(nb.Link.ID)
 			}
 			reb, reused, err := e.RebuildAvoiding(full, topo, avoid)
 			if err != nil {

@@ -132,7 +132,7 @@ func (e VCEscapeEngine) vcSearch(g *engineGraph, src int32, avoid *Avoid, canRes
 			if !g.eDown[ei] && ph == 1 {
 				continue // up after down needs a repair first
 			}
-			if avoid.avoidsLink(int(g.eLink[ei])) {
+			if avoid.HasLink(int(g.eLink[ei])) {
 				continue
 			}
 			nsp := g.eTo[ei] * 2

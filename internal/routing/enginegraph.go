@@ -151,7 +151,7 @@ func (g *engineGraph) legalBFS(src int32, rot int, avoid *Avoid, st *searchTree,
 			if !g.eDown[e] && ph == 1 {
 				continue // up after down is illegal
 			}
-			if avoid.avoidsLink(int(g.eLink[e])) {
+			if avoid.HasLink(int(g.eLink[e])) {
 				continue
 			}
 			next := g.eTo[int(e)] * 2
@@ -183,7 +183,7 @@ func (g *engineGraph) plainBFS(src int32, avoid *Avoid, dist []int32, queue []in
 		si := queue[0]
 		queue = queue[1:]
 		for e := g.eOff[si]; e < g.eOff[si+1]; e++ {
-			if avoid.avoidsLink(int(g.eLink[e])) {
+			if avoid.HasLink(int(g.eLink[e])) {
 				continue
 			}
 			to := g.eTo[e]
@@ -277,7 +277,7 @@ func (g *engineGraph) itbSearch(src int32, avoid *Avoid, canReset []bool, st *se
 			if !g.eDown[e] && ph == 1 {
 				continue
 			}
-			if avoid.avoidsLink(int(g.eLink[e])) {
+			if avoid.HasLink(int(g.eLink[e])) {
 				continue
 			}
 			next := g.eTo[e] * 2

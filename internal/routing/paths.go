@@ -211,7 +211,7 @@ func (s *searchScratch) itbTree(t *topology.Topology, ud *topology.UpDown, src t
 			relax(st-1, base+hopCost(0, 1), st, linkReset)
 		}
 		for _, nb := range t.SwitchNeighbors(sw) {
-			if avoid.avoidsLink(nb.Link.ID) {
+			if avoid.HasLink(nb.Link.ID) {
 				continue
 			}
 			next := 2 * int32(nb.Node)
@@ -245,7 +245,7 @@ func (s *searchScratch) bfsTree(t *topology.Topology, ud *topology.UpDown, src t
 		sw := topology.NodeID(st / 2)
 		downed := st&1 == 1
 		for _, nb := range t.SwitchNeighbors(sw) {
-			if avoid.avoidsLink(nb.Link.ID) {
+			if avoid.HasLink(nb.Link.ID) {
 				continue
 			}
 			next := 2*int32(nb.Node) + st&1
@@ -277,7 +277,7 @@ func canResetAt(t *topology.Topology, avoid *Avoid) []bool {
 	out := make([]bool, t.NumNodes())
 	for i := range out {
 		sw := topology.NodeID(i)
-		out[i] = t.Node(sw).Kind == topology.KindSwitch && len(liveHostsAt(t, sw, avoid)) > 0
+		out[i] = t.Node(sw).Kind == topology.KindSwitch && hasLiveHost(t, sw, avoid)
 	}
 	return out
 }

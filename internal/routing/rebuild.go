@@ -12,7 +12,7 @@ import (
 // check (the rebuild loop skips dead endpoints wholesale).
 func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
 	for _, tr := range r.LinkPath {
-		if avoid.avoidsLink(tr.Link.ID) {
+		if avoid.HasLink(tr.Link.ID) {
 			return false
 		}
 	}
@@ -40,53 +40,54 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 		tbl, err := BuildTableAvoiding(t, ud, alg, avoid)
 		return tbl, 0, err
 	}
+	tbl := newTable(t, alg, avoid, "", nil)
+	return tbl, tbl.rebuildFrom(prev, ud), nil
+}
+
+// rebuildFrom fills an empty table from prev: every pair of live hosts
+// adopts prev's route while it survives the exclusion set, and the
+// invalidated pairs are searched again once all survivors (and their
+// in-transit load) are in. Pairs unreachable under the exclusion set
+// are omitted, as BuildTableAvoiding does. It releases the build state
+// and returns the number of routes reused.
+func (tbl *Table) rebuildFrom(prev *Table, ud *topology.UpDown) int {
+	tbl.allocEager()
+	t := tbl.topo
 	hosts := t.Hosts()
-	tbl := newTable(alg, avoid, "", nil, len(hosts)*len(hosts))
 	reused := 0
-	type pair struct{ src, dst topology.NodeID }
+	type pair struct{ i, j int }
 	var missing []pair
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
+	for i, src := range hosts {
+		if tbl.avoid.hostDead(t, src) {
 			continue
 		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
+		for j, dst := range hosts {
+			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, avoid) {
-				tbl.routes[[2]topology.NodeID{src, dst}] = r
-				for _, h := range r.ITBHosts {
-					tbl.itbLoad[h]++
-				}
+			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
+				tbl.store(i, j, r)
+				tbl.addITBLoad(r)
 				reused++
 				continue
 			}
-			missing = append(missing, pair{src, dst})
+			missing = append(missing, pair{i, j})
 		}
 	}
 	for _, p := range missing {
-		r, err := tbl.buildRoute(t, ud, p.src, p.dst)
-		if err != nil {
-			// Unreachable under the exclusion set: omit the pair, as
-			// BuildTableAvoiding does.
-			continue
+		if r, err := tbl.buildRoute(t, ud, hosts[p.i], hosts[p.j]); err == nil {
+			tbl.store(p.i, p.j, r)
 		}
-		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
 	}
 	tbl.release()
-	return tbl, reused, nil
+	return reused
 }
 
 // lazyRebuild is the deferred-resolution state of a table returned by
 // RebuildAvoidingLazy: Lookup misses resolve against it on demand.
 type lazyRebuild struct {
 	prev *Table
-	topo *topology.Topology
 	ud   *topology.UpDown
-	// failed memoizes pairs with no route under the exclusion set
-	// (dead endpoints, unreachable under the avoid set), so repeated
-	// sends to a dead peer don't re-search every time.
-	failed map[[2]topology.NodeID]struct{}
 	// reused, when non-nil, is incremented for every route adopted
 	// from prev — the lazy analogue of RebuildAvoiding's return count.
 	reused *uint64
@@ -95,62 +96,54 @@ type lazyRebuild struct {
 // RebuildAvoidingLazy is RebuildAvoiding with on-demand resolution:
 // the returned table starts empty and each Lookup miss either adopts
 // prev's still-valid route or searches a replacement, memoizing
-// either way. Eager rebuilds pay O(hosts²) per distinct exclusion
-// set just to copy the survivors; a lazy table pays only for the
-// pairs traffic actually uses, which is what makes per-agent gossip
-// installs (every host rebuilding around its own local dead set, in
-// its own order) affordable at thousand-host scales. A nil prev (or
-// one built by a different algorithm) resolves every pair by search.
+// either way (a pair with no route under the exclusion set, such as a
+// dead endpoint, is memoized as a failure so repeated sends to a dead
+// peer do not search again). Eager rebuilds pay O(hosts²) per distinct
+// exclusion set just to copy the survivors; a lazy table pays only for
+// the sources and pairs traffic actually uses, which is what makes
+// per-agent gossip installs (every host rebuilding around its own
+// local dead set, in its own order) affordable at thousand-host
+// scales. A nil prev (or one built by a different algorithm) resolves
+// every pair by search.
 //
 // The returned table is for single-goroutine simulation use: Lookup
 // mutates it.
 func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, reused *uint64) *Table {
-	tbl := newTable(alg, avoid, "", nil, 0)
+	tbl := newTable(t, alg, avoid, "", nil)
 	if prev != nil && prev.Algorithm != alg {
 		prev = nil
 	}
-	tbl.lazyFill = &lazyRebuild{
-		prev:   prev,
-		topo:   t,
-		ud:     ud,
-		failed: make(map[[2]topology.NodeID]struct{}),
-		reused: reused,
-	}
+	tbl.lazyFill = &lazyRebuild{prev: prev, ud: ud, reused: reused}
 	return tbl
 }
 
-// resolveLazy fills one pair of a lazily rebuilt table, mirroring one
-// iteration of RebuildAvoiding's loop: dead endpoints are omitted,
-// surviving prev routes are shared (routes are immutable once built),
-// and invalidated pairs are searched under the exclusion set.
-func (tbl *Table) resolveLazy(src, dst topology.NodeID) (*Route, bool) {
-	lz := tbl.lazyFill
-	key := [2]topology.NodeID{src, dst}
-	if _, bad := lz.failed[key]; bad {
-		return nil, false
-	}
-	if src == dst || tbl.avoid.hostDead(lz.topo, src) || tbl.avoid.hostDead(lz.topo, dst) {
-		lz.failed[key] = struct{}{}
+// resolveLazy fills one pair, the i-th to the j-th host, of a lazily
+// rebuilt table, mirroring one iteration of RebuildAvoiding's loop:
+// dead endpoints are omitted, surviving prev routes are shared (routes
+// are immutable once built), and invalidated pairs are searched under
+// the exclusion set.
+func (tbl *Table) resolveLazy(src, dst topology.NodeID, i, j int) (*Route, bool) {
+	lz, t := tbl.lazyFill, tbl.topo
+	if src == dst || tbl.avoid.hostDead(t, src) || tbl.avoid.hostDead(t, dst) {
+		tbl.store(i, j, unroutable)
 		return nil, false
 	}
 	if lz.prev != nil {
-		if r, ok := lz.prev.Lookup(src, dst); ok && routeValid(lz.topo, r, tbl.avoid) {
-			tbl.routes[key] = r
-			for _, h := range r.ITBHosts {
-				tbl.itbLoad[h]++
-			}
+		if r, ok := lz.prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
+			tbl.store(i, j, r)
+			tbl.addITBLoad(r)
 			if lz.reused != nil {
 				*lz.reused++
 			}
 			return r, true
 		}
 	}
-	r, err := tbl.buildRoute(lz.topo, lz.ud, src, dst)
+	r, err := tbl.buildRoute(t, lz.ud, src, dst)
 	if err != nil {
-		lz.failed[key] = struct{}{}
+		tbl.store(i, j, unroutable)
 		return nil, false
 	}
-	tbl.routes[key] = r
+	tbl.store(i, j, r)
 	return r, true
 }
 
@@ -162,6 +155,5 @@ func FindRoute(t *topology.Topology, ud *topology.UpDown, alg Algorithm, src, ds
 	if avoid.hostDead(t, src) || avoid.hostDead(t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	tbl := newTable(alg, avoid, "", nil, 0)
-	return tbl.buildRoute(t, ud, src, dst)
+	return newTable(t, alg, avoid, "", nil).buildRoute(t, ud, src, dst)
 }

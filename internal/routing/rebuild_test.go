@@ -165,7 +165,7 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 			if !okl {
 				// The miss must be memoized: a second Lookup may not
 				// fall through to a fresh search.
-				if _, bad := lazy.lazyFill.failed[[2]topology.NodeID{src, dst}]; !bad && src != dst {
+				if !lazy.memoizedFailure(src, dst) {
 					t.Errorf("pair %d->%d: unroutable pair not memoized", src, dst)
 				}
 				continue
@@ -189,6 +189,14 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 	if got := len(lazy.Routes()); got != eager.Len() {
 		t.Errorf("Routes() returned %d entries, want %d", got, eager.Len())
 	}
+}
+
+// memoizedFailure reports whether a lazy table has memoized the pair
+// as having no route, so a repeated Lookup answers without a search.
+func (tbl *Table) memoizedFailure(src, dst topology.NodeID) bool {
+	i, oki := tbl.topo.HostIndex(src)
+	j, okj := tbl.topo.HostIndex(dst)
+	return oki && okj && tbl.routes[i] != nil && tbl.routes[i][j] == unroutable
 }
 
 // TestRebuildLazyNilPrev checks degenerate prevs: nil, and an

@@ -135,7 +135,7 @@ func TestRecomputeAvoidingFigure1(t *testing.T) {
 				}
 			}
 			for _, tr := range r.LinkPath {
-				if avoid.avoidsLink(tr.Link.ID) {
+				if avoid.HasLink(tr.Link.ID) {
 					t.Errorf("route %v: traverses failed link %d", r, tr.Link.ID)
 				}
 			}

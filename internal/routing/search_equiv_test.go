@@ -49,7 +49,7 @@ func oracleSearchPath(t *topology.Topology, ud *topology.UpDown, src, dst topolo
 		st := queue[0]
 		queue = queue[1:]
 		for _, nb := range t.SwitchNeighbors(st.sw) {
-			if avoid.avoidsLink(nb.Link.ID) {
+			if avoid.HasLink(nb.Link.ID) {
 				continue
 			}
 			next := oracleState{sw: nb.Node, ph: st.ph}
@@ -142,12 +142,12 @@ func oracleSearchPathITB(t *topology.Topology, ud *topology.UpDown, src, dst top
 			parent[next] = step
 			heap.Push(h, &oracleNode{st: next, cost: cost})
 		}
-		if st.ph == oracleDowned && len(liveHostsAt(t, st.sw, avoid)) > 0 {
+		if st.ph == oracleDowned && hasLiveHost(t, st.sw, avoid) {
 			relax(oracleState{sw: st.sw, ph: oracleUpOK}, base+hopCost(0, 1),
 				oracleStep{prev: st, itb: true})
 		}
 		for _, nb := range t.SwitchNeighbors(st.sw) {
-			if avoid.avoidsLink(nb.Link.ID) {
+			if avoid.HasLink(nb.Link.ID) {
 				continue
 			}
 			dir := ud.DirectionOf(nb.Link, st.sw)
@@ -257,9 +257,9 @@ func equivTopologies(tb testing.TB) []equivTopology {
 // switch: enough to force detours, switches that cannot serve as an
 // in-transit buffer and, on sparse topologies, unreachable pairs.
 func equivAvoid(t *topology.Topology) *Avoid {
-	a := &Avoid{Links: make(map[int]bool)}
+	a := &Avoid{}
 	for id := 0; id < len(t.Links()); id += 7 {
-		a.Links[id] = true
+		a.AddLink(id)
 	}
 	hosts := t.Hosts()
 	a.AddHost(hosts[len(hosts)/2])

@@ -28,17 +28,26 @@ func (a Algorithm) String() string {
 }
 
 // Table holds the source routes between every ordered host pair, as
-// the mapper would store them in each NIC's SRAM.
+// the mapper would store them in each NIC's SRAM: one row per source
+// host, indexed by destination.
 type Table struct {
 	Algorithm Algorithm
-	routes    map[[2]topology.NodeID]*Route
-	// itbLoad counts in-transit assignments per host, used to balance
-	// host selection at in-transit switches.
-	itbLoad map[topology.NodeID]int
-	// pathCache memoises switch-pair paths: all host pairs on the
-	// same switch pair share one path (ITB host choice still varies
-	// per route for balance).
-	pathCache map[[2]topology.NodeID]cachedPath
+	topo      *topology.Topology
+	// routes[i][j] is the route from the i-th to the j-th host (dense
+	// host indices, topology.HostIndex). A row is allocated at full
+	// width on its first write, so a lazy table pays only for the
+	// sources it resolves. nil means no route (on a lazy table: not
+	// resolved yet); unroutable memoizes a lazy miss with no route.
+	routes [][]*Route
+	// count is the number of routes, memoized failures excluded.
+	count int
+	// itbLoad counts in-transit assignments per host (by node id),
+	// used to balance host selection at in-transit switches.
+	itbLoad []int
+	// pathCache memoises switch-pair paths, by source and destination
+	// switch index: all host pairs on the same switch pair share one
+	// path (ITB host choice still varies per route for balance).
+	pathCache [][]cachedPath
 	// search memoises the Algorithm-selected searches, one tree per
 	// source switch.
 	search *tableSearch
@@ -56,18 +65,71 @@ type Table struct {
 	lazyFill *lazyRebuild
 }
 
-// newTable returns an empty table ready for buildRoute, with room for
-// routes host pairs.
-func newTable(alg Algorithm, avoid *Avoid, engine string, fn pathFunc, routes int) *Table {
+// unroutable is the row entry memoizing a lazily resolved pair that
+// has no route. It never leaves the table.
+var unroutable = new(Route)
+
+// newTable returns an empty table on t ready for buildRoute. Route
+// rows are allocated on their first write, or all at once by
+// allocEager. The build state is allocated on first use: lazy tables
+// are many (one per gossip dead set) and most resolve a single source.
+func newTable(t *topology.Topology, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
 	return &Table{
 		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route, routes),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
+		topo:      t,
+		routes:    make([][]*Route, t.NumHosts()),
 		avoid:     avoid,
 		engine:    engine,
 		pathFn:    fn,
 	}
+}
+
+// store records r (or unroutable) as the route from the i-th to the
+// j-th host.
+func (tbl *Table) store(i, j int, r *Route) {
+	row := tbl.routes[i]
+	if row == nil {
+		row = make([]*Route, len(tbl.routes))
+		tbl.routes[i] = row
+	}
+	row[j] = r
+	if r != unroutable {
+		tbl.count++
+	}
+}
+
+// allocEager allocates every route row and path-cache row up front,
+// one block each: an eager build writes them all.
+func (tbl *Table) allocEager() {
+	fillRows(tbl.routes)
+	tbl.pathCache = make([][]cachedPath, tbl.topo.NumNodes()-len(tbl.routes))
+	fillRows(tbl.pathCache)
+}
+
+// fillRows points the rows of the square matrix m into one allocation.
+func fillRows[T any](m [][]T) {
+	n := len(m)
+	flat := make([]T, n*n)
+	for i := range m {
+		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
+// addITBLoad charges the in-transit hosts of a route adopted into the
+// table, so later replacement routes balance around it.
+func (tbl *Table) addITBLoad(r *Route) {
+	for _, h := range r.ITBHosts {
+		tbl.loadOf()[h]++
+	}
+}
+
+// loadOf returns the in-transit load counters, allocating them on
+// first use.
+func (tbl *Table) loadOf() []int {
+	if tbl.itbLoad == nil {
+		tbl.itbLoad = make([]int, tbl.topo.NumNodes())
+	}
+	return tbl.itbLoad
 }
 
 // release drops the build-only state of an eagerly built table: no
@@ -94,6 +156,7 @@ var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 func (tbl *Table) Engine() string { return tbl.engine }
 
 type cachedPath struct {
+	ok        bool // set once the path is cached
 	trav      []Traversal
 	itbBefore []int
 	// lanes is the virtual-channel lane of each traversal (nil means
@@ -103,32 +166,63 @@ type cachedPath struct {
 
 // BuildTable computes routes for all ordered host pairs.
 func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Table, error) {
+	tbl := newTable(t, alg, nil, "", nil)
+	if err := tbl.buildAll(ud, true); err != nil {
+		return nil, err
+	}
+	return tbl, nil
+}
+
+// buildAll routes every ordered pair of live hosts into an empty
+// table, then releases the build state. With strict set the first
+// pair that fails to route fails the build; otherwise such pairs are
+// omitted (unreachable under the exclusion set).
+func (tbl *Table) buildAll(ud *topology.UpDown, strict bool) error {
+	tbl.allocEager()
+	t := tbl.topo
 	hosts := t.Hosts()
-	tbl := newTable(alg, nil, "", nil, len(hosts)*len(hosts))
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
+	for i, src := range hosts {
+		if tbl.avoid.hostDead(t, src) {
+			continue
+		}
+		for j, dst := range hosts {
+			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
 			r, err := tbl.buildRoute(t, ud, src, dst)
 			if err != nil {
-				return nil, err
+				if strict {
+					return err
+				}
+				continue
 			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
+			tbl.store(i, j, r)
 		}
 	}
 	tbl.release()
-	return tbl, nil
+	return nil
 }
 
 // Lookup returns the route from src to dst. On a lazily rebuilt
 // table a miss resolves (and memoizes) the pair on demand.
 func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
-	r, ok := tbl.routes[[2]topology.NodeID{src, dst}]
-	if ok || tbl.lazyFill == nil {
-		return r, ok
+	i, ok := tbl.topo.HostIndex(src)
+	if !ok {
+		return nil, false
 	}
-	return tbl.resolveLazy(src, dst)
+	j, ok := tbl.topo.HostIndex(dst)
+	if !ok {
+		return nil, false
+	}
+	if row := tbl.routes[i]; row != nil {
+		if r := row[j]; r != nil {
+			return r, r != unroutable
+		}
+	}
+	if tbl.lazyFill == nil {
+		return nil, false
+	}
+	return tbl.resolveLazy(src, dst, i, j)
 }
 
 // materialize forces every unresolved pair of a lazily rebuilt table
@@ -138,7 +232,7 @@ func (tbl *Table) materialize() {
 	if tbl.lazyFill == nil {
 		return
 	}
-	hosts := tbl.lazyFill.topo.Hosts()
+	hosts := tbl.topo.Hosts()
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src != dst {
@@ -149,13 +243,17 @@ func (tbl *Table) materialize() {
 	tbl.lazyFill = nil
 }
 
-// Routes returns every route in the table (iteration order is not
-// specified; callers that need determinism should iterate host pairs).
+// Routes returns every route in the table in (source, destination)
+// host id order: the order of a Lookup walk over all host pairs.
 func (tbl *Table) Routes() []*Route {
 	tbl.materialize()
-	out := make([]*Route, 0, len(tbl.routes))
-	for _, r := range tbl.routes {
-		out = append(out, r)
+	out := make([]*Route, 0, tbl.count)
+	for _, row := range tbl.routes {
+		for _, r := range row {
+			if r != nil && r != unroutable {
+				out = append(out, r)
+			}
+		}
 	}
 	return out
 }
@@ -163,7 +261,7 @@ func (tbl *Table) Routes() []*Route {
 // Len returns the number of routes.
 func (tbl *Table) Len() int {
 	tbl.materialize()
-	return len(tbl.routes)
+	return tbl.count
 }
 
 // buildRoute assembles a host-to-host Route from a switch path.
@@ -176,23 +274,29 @@ func (tbl *Table) buildRoute(t *topology.Topology, ud *topology.UpDown, src, dst
 	if !ok {
 		return nil, fmt.Errorf("routing: host %d not cabled", dst)
 	}
-	key := [2]topology.NodeID{srcSw, dstSw}
-	cp, cached := tbl.pathCache[key]
-	switch {
-	case cached:
-	case tbl.pathFn != nil:
+	si, _ := t.SwitchIndex(srcSw)
+	di, _ := t.SwitchIndex(dstSw)
+	if tbl.pathCache == nil {
+		tbl.pathCache = make([][]cachedPath, t.NumNodes()-len(tbl.routes))
+	}
+	row := tbl.pathCache[si]
+	if row == nil {
+		row = make([]cachedPath, len(tbl.pathCache))
+		tbl.pathCache[si] = row
+	}
+	cp := &row[di]
+	if !cp.ok {
 		var err error
-		cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
+		if tbl.pathFn != nil {
+			cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
+		} else {
+			*cp, err = tbl.searchPair(t, ud, srcSw, dstSw)
+		}
 		if err != nil {
+			*cp = cachedPath{}
 			return nil, err
 		}
-		tbl.pathCache[key] = cp
-	default:
-		var err error
-		if cp, err = tbl.searchPair(t, ud, srcSw, dstSw); err != nil {
-			return nil, err
-		}
-		tbl.pathCache[key] = cp
+		cp.ok = true
 	}
 	return tbl.assemble(t, src, dst, srcSw, cp.trav, cp.itbBefore, cp.lanes)
 }
@@ -287,17 +391,17 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 	flushSegment := func(itbSwitch topology.NodeID) error {
 		// Eject into a live host of itbSwitch: pick the least-loaded
 		// host (deterministic tie-break by id).
-		hosts := liveHostsAt(t, itbSwitch, tbl.avoid)
-		if len(hosts) == 0 {
-			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
-		}
-		best := hosts[0]
-		for _, h := range hosts[1:] {
-			if tbl.itbLoad[h] < tbl.itbLoad[best] {
+		load := tbl.loadOf()
+		best := topology.NodeID(-1)
+		for _, h := range t.HostsAt(itbSwitch) {
+			if !tbl.avoid.hostDead(t, h) && (best < 0 || load[h] < load[best]) {
 				best = h
 			}
 		}
-		tbl.itbLoad[best]++
+		if best < 0 {
+			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
+		}
+		load[best]++
 		hl := t.LinkAt(best, 0)
 		// Final port byte of this segment delivers into the ITB host.
 		buf = append(buf, byte(hl.PortAt(itbSwitch)))

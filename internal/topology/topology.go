@@ -143,21 +143,39 @@ func (l *Link) PortAtEnd(endA bool) int {
 type Topology struct {
 	nodes []Node
 	links []Link
-	// byPort[node][port] is the link plugged into that port, or nil.
-	byPort map[NodeID][]*Link
+	// byPort[node][port] is the id of the link plugged into that port,
+	// or -1. Ids, not pointers: links grows by append, so a pointer
+	// taken at Connect time would go stale on the next reallocation.
+	byPort [][]int32
 	// switchNbrs caches, per node, its switch neighbours over
 	// non-loopback links sorted by (far node, link id) — the traversal
 	// order of the routing searches, which walk these lists once per
-	// BFS visit — and hostsAt its attached hosts in id order. Built
-	// lazily together; any mutation drops both.
+	// BFS visit — hostsAt its attached hosts in id order, and kindIdx
+	// each node's rank among the nodes of its kind (the dense host and
+	// switch indices). Built lazily together; any mutation drops them.
 	switchNbrs [][]Neighbor
 	hostsAt    [][]NodeID
+	kindIdx    []int32
+	numHosts   int
 }
 
 // New returns an empty topology to be populated with AddSwitch,
 // AddHost and Connect.
 func New() *Topology {
-	return &Topology{byPort: make(map[NodeID][]*Link)}
+	return &Topology{}
+}
+
+// addNode appends a node with ports uncabled ports.
+func (t *Topology) addNode(kind NodeKind, ports int, name string) NodeID {
+	id := NodeID(len(t.nodes))
+	t.nodes = append(t.nodes, Node{ID: id, Kind: kind, Ports: ports, Name: name})
+	row := make([]int32, ports)
+	for i := range row {
+		row[i] = -1
+	}
+	t.byPort = append(t.byPort, row)
+	t.switchNbrs = nil
+	return id
 }
 
 // AddSwitch adds a switch with the given port count and returns its id.
@@ -165,20 +183,12 @@ func (t *Topology) AddSwitch(ports int, name string) NodeID {
 	if ports <= 0 {
 		panic("topology: switch needs at least one port")
 	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{ID: id, Kind: KindSwitch, Ports: ports, Name: name})
-	t.byPort[id] = make([]*Link, ports)
-	t.switchNbrs = nil
-	return id
+	return t.addNode(KindSwitch, ports, name)
 }
 
 // AddHost adds a host (single NIC port) and returns its id.
 func (t *Topology) AddHost(name string) NodeID {
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{ID: id, Kind: KindHost, Ports: 1, Name: name})
-	t.byPort[id] = make([]*Link, 1)
-	t.switchNbrs = nil
-	return id
+	return t.addNode(KindHost, 1, name)
 }
 
 // Connect cables port aPort of node a to port bPort of node b with the
@@ -191,17 +201,16 @@ func (t *Topology) Connect(a NodeID, aPort int, b NodeID, bPort int, typ PortTyp
 	if a == b && (t.nodes[a].Kind != KindSwitch || aPort == bPort) {
 		panic("topology: self-link must join two distinct ports of one switch")
 	}
-	if t.byPort[a][aPort] != nil {
+	if t.byPort[a][aPort] >= 0 {
 		panic(fmt.Sprintf("topology: port %d of node %d already cabled", aPort, a))
 	}
-	if t.byPort[b][bPort] != nil {
+	if t.byPort[b][bPort] >= 0 {
 		panic(fmt.Sprintf("topology: port %d of node %d already cabled", bPort, b))
 	}
 	id := len(t.links)
 	t.links = append(t.links, Link{ID: id, A: a, APort: aPort, B: b, BPort: bPort, Type: typ})
-	l := &t.links[id]
-	t.byPort[a][aPort] = l
-	t.byPort[b][bPort] = l
+	t.byPort[a][aPort] = int32(id)
+	t.byPort[b][bPort] = int32(id)
 	t.switchNbrs = nil
 	return id
 }
@@ -223,7 +232,7 @@ func (t *Topology) ConnectAny(a, b NodeID, typ PortType) int {
 // FreePort returns the lowest uncabled port of node n.
 func (t *Topology) FreePort(n NodeID) (int, bool) {
 	for i, l := range t.byPort[n] {
-		if l == nil {
+		if l < 0 {
 			return i, true
 		}
 	}
@@ -252,7 +261,13 @@ func (t *Topology) Links() []Link { return t.links }
 func (t *Topology) Link(id int) *Link { return &t.links[id] }
 
 // LinkAt returns the link cabled into the given port, or nil.
-func (t *Topology) LinkAt(n NodeID, port int) *Link { return t.byPort[n][port] }
+func (t *Topology) LinkAt(n NodeID, port int) *Link {
+	id := t.byPort[n][port]
+	if id < 0 {
+		return nil
+	}
+	return &t.links[id]
+}
 
 // Switches returns the ids of all switches in increasing order.
 func (t *Topology) Switches() []NodeID {
@@ -286,12 +301,43 @@ func (t *Topology) HostsAt(sw NodeID) []NodeID {
 	return t.hostsAt[sw]
 }
 
+// NumHosts returns the number of hosts.
+func (t *Topology) NumHosts() int {
+	if t.switchNbrs == nil {
+		t.buildAdjacency()
+	}
+	return t.numHosts
+}
+
+// HostIndex returns the dense index of host n, its rank among the
+// hosts in id order (0 <= index < NumHosts()), so per-host state can
+// live in a slice. ok is false when n is not a host.
+func (t *Topology) HostIndex(n NodeID) (int, bool) {
+	return t.kindIndex(n, KindHost)
+}
+
+// SwitchIndex is HostIndex for switches: n's rank among the switches
+// in id order.
+func (t *Topology) SwitchIndex(n NodeID) (int, bool) {
+	return t.kindIndex(n, KindSwitch)
+}
+
+func (t *Topology) kindIndex(n NodeID, kind NodeKind) (int, bool) {
+	if t.switchNbrs == nil {
+		t.buildAdjacency()
+	}
+	if uint(n) >= uint(len(t.nodes)) || t.nodes[n].Kind != kind {
+		return 0, false
+	}
+	return int(t.kindIdx[n]), true
+}
+
 // SwitchOf returns the switch a host is cabled to.
 func (t *Topology) SwitchOf(host NodeID) (NodeID, bool) {
 	if t.nodes[host].Kind != KindHost {
 		return 0, false
 	}
-	l := t.byPort[host][0]
+	l := t.LinkAt(host, 0)
 	if l == nil {
 		return 0, false
 	}
@@ -302,10 +348,11 @@ func (t *Topology) SwitchOf(host NodeID) (NodeID, bool) {
 // in port order.
 func (t *Topology) Neighbors(n NodeID) []Neighbor {
 	var out []Neighbor
-	for port, l := range t.byPort[n] {
-		if l == nil {
+	for port, id := range t.byPort[n] {
+		if id < 0 {
 			continue
 		}
+		l := &t.links[id]
 		out = append(out, Neighbor{Link: l, Node: l.Other(n), Port: port})
 	}
 	return out
@@ -331,17 +378,23 @@ func (t *Topology) SwitchNeighbors(n NodeID) []Neighbor {
 	return t.switchNbrs[n]
 }
 
-// buildAdjacency fills the SwitchNeighbors and HostsAt caches.
+// buildAdjacency fills the SwitchNeighbors, HostsAt and dense index
+// caches.
 func (t *Topology) buildAdjacency() {
 	t.switchNbrs = make([][]Neighbor, len(t.nodes))
 	t.hostsAt = make([][]NodeID, len(t.nodes))
+	t.kindIdx = make([]int32, len(t.nodes))
+	var kinds [2]int32
 	for _, nd := range t.nodes {
+		t.kindIdx[nd.ID] = kinds[nd.Kind]
+		kinds[nd.Kind]++
 		var out []Neighbor
 		var hosts []NodeID
-		for port, l := range t.byPort[nd.ID] {
-			if l == nil {
+		for port, id := range t.byPort[nd.ID] {
+			if id < 0 {
 				continue
 			}
+			l := &t.links[id]
 			o := l.Other(nd.ID)
 			if t.nodes[o].Kind == KindHost {
 				hosts = append(hosts, o)
@@ -362,6 +415,7 @@ func (t *Topology) buildAdjacency() {
 		})
 		t.switchNbrs[nd.ID] = out
 	}
+	t.numHosts = int(kinds[KindHost])
 }
 
 // Connected reports whether every node can reach every other node.
@@ -392,7 +446,7 @@ func (t *Topology) Connected() bool {
 func (t *Topology) Validate() error {
 	for _, n := range t.nodes {
 		if n.Kind == KindHost {
-			l := t.byPort[n.ID][0]
+			l := t.LinkAt(n.ID, 0)
 			if l == nil {
 				return fmt.Errorf("topology: host %d (%s) is not cabled", n.ID, n.Name)
 			}

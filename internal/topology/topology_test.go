@@ -157,3 +157,73 @@ func TestLinkOtherPanics(t *testing.T) {
 	}()
 	tp.Link(id).Other(c)
 }
+
+// TestLinkAtReturnsLiveLink pins that LinkAt hands out the topology's
+// own link record, not a copy left behind when the link slice grew:
+// both ends of every link must resolve to the same pointer as Link.
+func TestLinkAtReturnsLiveLink(t *testing.T) {
+	tb, _ := Testbed()
+	gen, err := Generate(DefaultGenConfig(16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := Dragonfly(DefaultDragonflyConfig(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := FatTree(DefaultFatTreeConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, topo := range map[string]*Topology{"testbed": tb, "generate-16": gen, "dragonfly-72": df, "fattree-16": ft} {
+		for _, l := range topo.Links() {
+			want := topo.Link(l.ID)
+			if got := topo.LinkAt(l.A, l.APort); got != want {
+				t.Errorf("%s: LinkAt(%d, %d) = %p, want link %d at %p", name, l.A, l.APort, got, l.ID, want)
+			}
+			if got := topo.LinkAt(l.B, l.BPort); got != want {
+				t.Errorf("%s: LinkAt(%d, %d) = %p, want link %d at %p", name, l.B, l.BPort, got, l.ID, want)
+			}
+		}
+	}
+}
+
+// TestDenseIndices checks HostIndex and SwitchIndex: each kind is
+// numbered 0..n-1 in id order, and a node of the other kind (or out of
+// range) has no index.
+func TestDenseIndices(t *testing.T) {
+	topo, err := Generate(DefaultGenConfig(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts, switches := topo.Hosts(), topo.Switches()
+	if topo.NumHosts() != len(hosts) {
+		t.Fatalf("NumHosts = %d, want %d", topo.NumHosts(), len(hosts))
+	}
+	for i, h := range hosts {
+		if got, ok := topo.HostIndex(h); !ok || got != i {
+			t.Errorf("HostIndex(%d) = %d, %v; want %d", h, got, ok, i)
+		}
+		if _, ok := topo.SwitchIndex(h); ok {
+			t.Errorf("SwitchIndex(host %d) ok", h)
+		}
+	}
+	for i, sw := range switches {
+		if got, ok := topo.SwitchIndex(sw); !ok || got != i {
+			t.Errorf("SwitchIndex(%d) = %d, %v; want %d", sw, got, ok, i)
+		}
+		if _, ok := topo.HostIndex(sw); ok {
+			t.Errorf("HostIndex(switch %d) ok", sw)
+		}
+	}
+	for _, n := range []NodeID{-1, NodeID(topo.NumNodes())} {
+		if _, ok := topo.HostIndex(n); ok {
+			t.Errorf("HostIndex(%d) ok for a node out of range", n)
+		}
+	}
+	// A mutation drops the cache.
+	topo.AddHost("late")
+	if topo.NumHosts() != len(hosts)+1 {
+		t.Errorf("NumHosts after AddHost = %d, want %d", topo.NumHosts(), len(hosts)+1)
+	}
+}
