@@ -4,7 +4,7 @@ GO ?= go
 GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkRouteTableBuild|BenchmarkRouteTableBuildDragonfly72|BenchmarkGossipChurn)$$
 # Output file for bench-json: the committed bench record of the latest
 # change (BENCH_PR<N>.json), compared against BENCH_baseline.json.
-BENCH_JSON ?= BENCH_PR14.json
+BENCH_JSON ?= BENCH_PR15.json
 
 .PHONY: all build test test-race vet lint vulncheck bench bench-json bench-gate fuzz fuzz-smoke cover experiments golden clean
 

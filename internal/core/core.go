@@ -172,6 +172,23 @@ func (c *Cluster) CheckDeadlockFree() error {
 	return routing.CheckDeadlockFree(c.Table.Routes())
 }
 
+// CheckPools is the pool ledger of a drained run: every host-DMA
+// operation, MCP send job and MCP receive record a NIC drew from its
+// free list must be back on it, or parked in a queue of a stalled NIC
+// (mcp.MCP.Outstanding). A record in motion after the engine has run
+// dry belongs to a packet some code path forgot to finish.
+func (c *Cluster) CheckPools() error {
+	for _, h := range c.Topo.Hosts() {
+		m := c.Hosts[h].MCP()
+		jobs, recs := m.Outstanding()
+		if dma := m.NIC().HostDMAOutstanding(); jobs != 0 || recs != 0 || dma != 0 {
+			return fmt.Errorf("core: host %d has %d send jobs, %d receive records and %d DMA operations in motion after the drain",
+				h, jobs, recs, dma)
+		}
+	}
+	return nil
+}
+
 // DetectStuck reports packets wedged in the fabric after the event
 // queue drained — the runtime (protocol-level) deadlock diagnostic,
 // complementing the static route-table check above.

@@ -366,6 +366,9 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 	// Drain fully: the dead-peer verdict guarantees termination even
 	// under permanent faults.
 	cl.Eng.Run()
+	if err := cl.CheckPools(); err != nil {
+		return campaignOutcome{}, err
+	}
 
 	for id := range delivered {
 		if failed[id] {

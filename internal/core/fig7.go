@@ -86,6 +86,9 @@ func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 			if err != nil {
 				return outcome{}, err
 			}
+			if err := cl.CheckPools(); err != nil {
+				return outcome{}, err
+			}
 			obs.finish(cl)
 			return outcome{rows: rows, obs: obs}, nil
 		})

@@ -78,8 +78,10 @@ type Network struct {
 	// old map lookup on the per-hop path. With maxLanes == 1 the
 	// layout (and every index computed into it) is identical to the
 	// pre-VC chans[2*link+dir] form.
-	chans  []*channel
-	eps    map[topology.NodeID]Endpoint
+	chans []*channel
+	// eps holds the attached endpoints indexed by host node id (nil:
+	// nothing attached).
+	eps    []Endpoint
 	next   uint64
 	stats  Counters
 	tracer *trace.Recorder
@@ -115,7 +117,7 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) *Network {
 		par:      par,
 		maxLanes: maxLanes,
 		chans:    make([]*channel, 2*len(topo.Links())*maxLanes),
-		eps:      make(map[topology.NodeID]Endpoint),
+		eps:      make([]Endpoint, topo.NumNodes()),
 	}
 	mkRes := sim.NewResource
 	if par.RoundRobinArbitration {

@@ -22,14 +22,14 @@ type conn struct {
 	ordinal int
 
 	// Sender state. Sequence numbers count packets, not bytes.
-	nextSeq   uint32 // next sequence number to assign
-	ackedTo   uint32 // everything below this is acknowledged
-	inflight  []*packet.Packet
-	backlog   sim.FIFO[*packet.Packet] // waiting for window space
-	timer     sim.Event
-	submitted map[uint32]bool   // seqs handed to the MCP and not yet re-sendable
-	acked     map[uint32]func() // per-seq acknowledgement callbacks (send tokens)
-	failed    map[uint32]func() // per-seq failure callbacks (dead-peer verdict)
+	nextSeq  uint32 // next sequence number to assign
+	ackedTo  uint32 // everything below this is acknowledged
+	inflight []*packet.Packet
+	backlog  sim.FIFO[*packet.Packet] // waiting for window space
+	timer    sim.Event
+	// win holds the per-seq send bookkeeping (submitted flag, outcome
+	// callbacks) for the seqs not yet acknowledged.
+	win seqWindow
 
 	// Recovery state (Params.BackoffFactor / DeadPeerTimeouts).
 	curTimeout units.Time // current retransmit timeout (backed off)
@@ -54,15 +54,20 @@ type conn struct {
 	// Ack coalescing (Params.AckDelay).
 	pendingAcks int
 	ackTimer    sim.Event
+
+	// Callbacks bound once, so arming a timer or submitting a packet
+	// allocates nothing.
+	fnTimeout  func()
+	fnAckDelay func()
+	fnSent     func(*packet.Packet, units.Time)
 }
 
 func newConn(h *Host, peer topology.NodeID, ordinal int) *conn {
-	return &conn{
-		h: h, peer: peer, ordinal: ordinal,
-		submitted: make(map[uint32]bool),
-		acked:     make(map[uint32]func()),
-		failed:    make(map[uint32]func()),
-	}
+	c := &conn{h: h, peer: peer, ordinal: ordinal}
+	c.fnTimeout = c.timeout
+	c.fnAckDelay = c.ackDelayExpired
+	c.fnSent = c.sent
+	return c
 }
 
 // enqueue assigns a sequence number and transmits when the window
@@ -86,12 +91,8 @@ func (c *conn) enqueue(pkt *packet.Packet, onAcked, onFailed func()) {
 	pkt.Seq = c.nextSeq
 	pkt.Incarnation = c.incarnation
 	c.nextSeq++
-	if onAcked != nil {
-		c.acked[pkt.Seq] = onAcked
-	}
-	if onFailed != nil {
-		c.failed[pkt.Seq] = onFailed
-	}
+	st := c.win.push()
+	st.onAcked, st.onFailed = onAcked, onFailed
 	c.backlog.Push(pkt)
 	c.pump()
 }
@@ -119,28 +120,41 @@ func (c *conn) pump() {
 // so this never blocks.
 func (c *conn) transmit(pkt *packet.Packet) {
 	c.h.stats.PacketsSent++
-	c.submitted[pkt.Seq] = true
+	c.win.at(pkt.Seq).submitted = true
 	// The MCP consumes the route bytes in flight, so each (re)send
 	// works on a fresh copy; the original stays pristine for
 	// retransmission. The copy comes from (and returns to) the packet
 	// pool: the receiving host's deliver path recycles it.
-	wire := pkt.ClonePooled()
-	seq := pkt.Seq
-	c.h.m.SubmitSend(wire, func(units.Time) {
-		delete(c.submitted, seq)
-		if c.h.par.DisableAcks {
-			// No ack will come; the tail leaving stands in for it.
-			c.fireAcked(seq)
-		}
-	})
+	c.h.m.SubmitSend(pkt.ClonePooled(), c.fnSent)
 	c.armTimer()
+}
+
+// sent runs when a wire copy's tail has left the NIC: its seq may be
+// re-sent again. A copy submitted before a resurrection carries a seq
+// of the old stream; like any seq, it clears whatever entry the
+// restarted stream has under that number (at worst one premature
+// retransmission, which the receiver's duplicate handling absorbs).
+func (c *conn) sent(wire *packet.Packet, _ units.Time) {
+	seq := wire.Seq
+	if st := c.win.at(seq); st != nil {
+		st.submitted = false
+	}
+	if c.h.par.DisableAcks {
+		// No ack will come; the tail leaving stands in for it.
+		c.fireAcked(seq)
+		c.win.dropSent()
+	}
 }
 
 // fireAcked runs and clears the acknowledgement callback of one seq.
 func (c *conn) fireAcked(seq uint32) {
-	delete(c.failed, seq)
-	if cb, ok := c.acked[seq]; ok {
-		delete(c.acked, seq)
+	st := c.win.at(seq)
+	if st == nil {
+		return
+	}
+	st.onFailed = nil
+	if cb := st.onAcked; cb != nil {
+		st.onAcked = nil
 		cb()
 	}
 }
@@ -152,7 +166,14 @@ func (c *conn) armTimer() {
 	if c.curTimeout <= 0 {
 		c.curTimeout = c.h.par.AckTimeout
 	}
-	c.timer = c.h.eng.Schedule(c.curTimeout, c.timeout)
+	if c.curTimeout == c.h.par.AckTimeout {
+		// The common case: every conn of the host arms this one delay,
+		// so the timer goes on the engine's fixed-delay FIFO instead of
+		// the heap. Backed-off timeouts use the heap.
+		c.timer = c.h.ackTimeouts().Schedule(c.fnTimeout)
+		return
+	}
+	c.timer = c.h.eng.Schedule(c.curTimeout, c.fnTimeout)
 }
 
 func (c *conn) disarmTimer() {
@@ -194,17 +215,24 @@ func (c *conn) timeout() {
 	// buffer, advances the window, and the rest of the window resumes
 	// on the ack (handleAck).
 	for _, pkt := range c.inflight {
-		if c.submitted[pkt.Seq] {
+		if c.win.submitted(pkt.Seq) {
 			// Still sitting in the NIC's send queue; re-sending would
 			// duplicate it.
 			break
 		}
-		c.h.stats.Retransmits++
-		c.h.emit(trace.Retransmit, pkt.ID, fmt.Sprintf("seq=%d", pkt.Seq))
-		c.transmit(pkt)
+		c.retransmit(pkt)
 		break
 	}
 	c.armTimer()
+}
+
+// retransmit re-sends one unacknowledged packet.
+func (c *conn) retransmit(pkt *packet.Packet) {
+	c.h.stats.Retransmits++
+	if c.h.tracer != nil {
+		c.h.emit(trace.Retransmit, pkt.ID, fmt.Sprintf("seq=%d", pkt.Seq))
+	}
+	c.transmit(pkt)
 }
 
 // declareDead issues the dead-peer verdict: every pending message is
@@ -231,12 +259,10 @@ func (c *conn) declareDead() {
 	}
 	// Fire failure callbacks in ascending-seq (send) order so the
 	// outcome order is deterministic.
-	pending := len(c.failed)
-	for seq := c.ackedTo; seq < c.nextSeq && pending > 0; seq++ {
-		if cb, ok := c.failed[seq]; ok {
-			delete(c.failed, seq)
-			delete(c.acked, seq)
-			pending--
+	for seq := c.ackedTo; seq < c.nextSeq; seq++ {
+		if st := c.win.at(seq); st != nil && st.onFailed != nil {
+			cb := st.onFailed
+			st.onFailed, st.onAcked = nil, nil
 			cb()
 		}
 	}
@@ -260,12 +286,9 @@ func (c *conn) declareDead() {
 // restarts from sequence zero under the new incarnation; the receiver
 // adopts it when the first sequence-zero packet arrives (handleData).
 // declareDead already drained inflight/backlog and reported every
-// pending outcome, so only the sequence state needs resetting. Note
-// the submitted map is cleared even though a wire clone of the old
-// incarnation may still sit in the NIC's send queue with an onSent
-// closure that deletes a (now reused) seq entry — the worst case is
-// one premature retransmission, which the receiver's duplicate
-// handling absorbs.
+// pending outcome, so only the sequence state needs resetting. A wire
+// clone of the old incarnation may still sit in the NIC's send queue;
+// its tail-out clears the submitted flag of a reused seq (see sent).
 func (c *conn) resurrect(epoch uint32) {
 	c.dead = false
 	c.incarnation = epoch
@@ -273,9 +296,7 @@ func (c *conn) resurrect(epoch uint32) {
 	c.ackedTo = 0
 	c.strikes = 0
 	c.curTimeout = 0
-	clear(c.submitted)
-	clear(c.acked)
-	clear(c.failed)
+	c.win.reset()
 	c.h.stats.ConnsResurrected++
 	c.h.emit(trace.PeerResurrected, 0, fmt.Sprintf("peer=%d epoch=%d", c.peer, epoch))
 }
@@ -336,17 +357,16 @@ func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
 	for seq := old; seq < nextExpected; seq++ {
 		c.fireAcked(seq)
 	}
+	c.win.dropBelow(c.ackedTo)
 	c.disarmTimer()
 	if recovering {
 		// Go-back-N resume: re-stream the unacknowledged remainder of
 		// the window from the position the receiver just confirmed.
 		for _, pkt := range c.inflight {
-			if c.submitted[pkt.Seq] {
+			if c.win.submitted(pkt.Seq) {
 				continue
 			}
-			c.h.stats.Retransmits++
-			c.h.emit(trace.Retransmit, pkt.ID, fmt.Sprintf("seq=%d", pkt.Seq))
-			c.transmit(pkt)
+			c.retransmit(pkt)
 		}
 	}
 	if len(c.inflight) > 0 {
@@ -422,11 +442,14 @@ func (c *conn) scheduleAck() {
 		return
 	}
 	if !c.ackTimer.Valid() {
-		c.ackTimer = c.h.eng.Schedule(c.h.par.AckDelay, func() {
-			c.ackTimer = sim.NoEvent
-			c.flushAck()
-		})
+		c.ackTimer = c.h.eng.Schedule(c.h.par.AckDelay, c.fnAckDelay)
 	}
+}
+
+// ackDelayExpired flushes the coalesced ack when its delay runs out.
+func (c *conn) ackDelayExpired() {
+	c.ackTimer = sim.NoEvent
+	c.flushAck()
 }
 
 // flushAck emits the cumulative acknowledgement now.
@@ -447,18 +470,98 @@ func (c *conn) deliverFrag(pkt *packet.Packet, t units.Time) {
 	if !pkt.LastFrag {
 		return
 	}
-	msg := c.assembly
-	c.assembly = nil
 	c.h.stats.MessagesReceived++
-	srcPort, dstPort := pkt.SrcPort, pkt.DstPort
 	// The application sees the message after the host-side receive
 	// overhead.
-	c.h.eng.Schedule(c.h.par.HostRecvOverhead, func() {
-		if c.h.deliverToPort(c.peer, srcPort, dstPort, msg, c.h.eng.Now()) {
+	in := c.h.inMsgs.Get()
+	in.c, in.srcPort, in.dstPort, in.payload = c, pkt.SrcPort, pkt.DstPort, c.assembly
+	c.assembly = nil
+	c.h.eng.ScheduleArg(c.h.par.HostRecvOverhead, c.h.fnHandOff, in)
+}
+
+// seqState is the sender's bookkeeping for one sequence number.
+type seqState struct {
+	// submitted marks a seq whose wire copy sits in the MCP and has
+	// not left the NIC yet: re-sending it would duplicate it.
+	submitted bool
+	onAcked   func() // acknowledgement callback (send tokens)
+	onFailed  func() // failure callback (dead-peer verdict)
+}
+
+// seqWindow holds the seqState of the seqs [base, base+n) in a ring
+// indexed by seq. The sender appends one state per enqueued packet
+// (base+n is always the conn's nextSeq) and drops them from the front
+// once no later event reads them; a resurrection resets it to seq 0.
+type seqWindow struct {
+	buf  []seqState // length zero or a power of two
+	base uint32
+	n    int
+}
+
+// at returns the state of seq, or nil if seq is outside the window.
+func (w *seqWindow) at(seq uint32) *seqState {
+	if seq-w.base >= uint32(w.n) {
+		return nil
+	}
+	return &w.buf[seq&uint32(len(w.buf)-1)]
+}
+
+// submitted reports whether seq's wire copy has not yet left the NIC.
+func (w *seqWindow) submitted(seq uint32) bool {
+	st := w.at(seq)
+	return st != nil && st.submitted
+}
+
+// push appends a zero state for seq base+n and returns it.
+func (w *seqWindow) push() *seqState {
+	if w.n == len(w.buf) {
+		w.grow()
+	}
+	w.n++
+	st := &w.buf[(w.base+uint32(w.n-1))&uint32(len(w.buf)-1)]
+	*st = seqState{}
+	return st
+}
+
+func (w *seqWindow) grow() {
+	next := make([]seqState, max(2*len(w.buf), 16))
+	for i := 0; i < w.n; i++ {
+		seq := w.base + uint32(i)
+		next[seq&uint32(len(next)-1)] = w.buf[seq&uint32(len(w.buf)-1)]
+	}
+	w.buf = next
+}
+
+// pop drops the state at the front.
+func (w *seqWindow) pop() {
+	w.buf[w.base&uint32(len(w.buf)-1)] = seqState{}
+	w.base++
+	w.n--
+}
+
+// dropBelow drops the states of every seq below seq: acknowledged
+// seqs, which nothing reads again.
+func (w *seqWindow) dropBelow(seq uint32) {
+	for w.n > 0 && w.base < seq {
+		w.pop()
+	}
+}
+
+// dropSent drops leading states that hold nothing: with acks disabled
+// every seq is submitted when it is enqueued, so an empty state is one
+// whose tail has left and whose callback has run.
+func (w *seqWindow) dropSent() {
+	for w.n > 0 {
+		st := &w.buf[w.base&uint32(len(w.buf)-1)]
+		if st.submitted || st.onAcked != nil || st.onFailed != nil {
 			return
 		}
-		if c.h.OnMessage != nil {
-			c.h.OnMessage(c.peer, msg, c.h.eng.Now())
-		}
-	})
+		w.pop()
+	}
+}
+
+// reset empties the window and restarts it at seq 0.
+func (w *seqWindow) reset() {
+	clear(w.buf)
+	w.base, w.n = 0, 0
 }

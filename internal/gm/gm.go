@@ -141,6 +141,37 @@ type Host struct {
 
 	tracer *trace.Recorder
 	stats  Stats
+
+	// timeouts is the engine's fixed-delay FIFO for Params.AckTimeout,
+	// taken on the first retransmit timer armed.
+	timeouts *sim.FixedDelay
+	// Free lists of the message records that carry a send across the
+	// host send overhead and a delivery across the receive overhead.
+	outMsgs sim.FreeList[outMsg]
+	inMsgs  sim.FreeList[inMsg]
+	// Long-lived event handlers for those records.
+	fnSegment func(any)
+	fnHandOff func(any)
+}
+
+// outMsg is one gm_send call waiting out the host send overhead before
+// it is segmented into packets.
+type outMsg struct {
+	c                 *conn
+	payload           []byte
+	route             []byte // owned copy of the wire header
+	typ               packet.Type
+	srcPort, dstPort  uint8
+	id                uint32
+	onAcked, onFailed func()
+}
+
+// inMsg is one reassembled message waiting out the host receive
+// overhead before the application sees it.
+type inMsg struct {
+	c                *conn
+	srcPort, dstPort uint8
+	payload          []byte
 }
 
 // SetTracer attaches an event recorder (nil to detach).
@@ -169,8 +200,19 @@ func NewHost(eng *sim.Engine, m *mcp.MCP, tbl *routing.Table, par Params) *Host 
 		par:  par,
 		tbl:  tbl,
 	}
+	h.fnSegment = h.segment
+	h.fnHandOff = h.handOff
 	m.OnDeliver = h.deliver
 	return h
+}
+
+// ackTimeouts returns the fixed-delay FIFO the conns arm their
+// Params.AckTimeout retransmit timers on.
+func (h *Host) ackTimeouts() *sim.FixedDelay {
+	if h.timeouts == nil {
+		h.timeouts = h.eng.FixedDelay(h.par.AckTimeout)
+	}
+	return h.timeouts
 }
 
 // Node returns the host's topology node.
@@ -348,55 +390,78 @@ func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFaile
 // SendVia transmits payload to dst over an explicit wire route (used
 // by the evaluation harness to pin the exact paths of Figures 7/8).
 func (h *Host) SendVia(dst topology.NodeID, payload []byte, route []byte, typ packet.Type) {
-	h.sendPort(dst, payload, append([]byte(nil), route...), typ, 0, 0, nil, nil)
+	h.sendPort(dst, payload, route, typ, 0, 0, nil, nil)
 }
 
 // sendPort segments and enqueues one message; onAcked (optional)
 // fires when GM has acknowledged the whole message (or when its tail
 // leaves the NIC, with acks disabled); onFailed (optional) fires
-// instead if the message is abandoned by the dead-peer verdict.
+// instead if the message is abandoned by the dead-peer verdict. The
+// route bytes are copied, so the caller may reuse them at once.
 func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ packet.Type, srcPort, dstPort uint8, onAcked, onFailed func()) {
-	c := h.connTo(dst)
+	msg := h.outMsgs.Get()
+	msg.c = h.connTo(dst)
 	h.msgID++
-	id := h.msgID
+	msg.id = h.msgID
 	h.stats.MessagesSent++
-	// Segment at the MTU.
-	var frags [][]byte
-	if len(payload) == 0 {
-		frags = [][]byte{nil}
-	}
-	for off := 0; off < len(payload); off += h.par.MTU {
-		end := off + h.par.MTU
-		if end > len(payload) {
-			end = len(payload)
-		}
-		frags = append(frags, payload[off:end])
-	}
+	msg.payload = payload
+	msg.route = append(msg.route[:0], route...)
+	msg.typ, msg.srcPort, msg.dstPort = typ, srcPort, dstPort
+	msg.onAcked, msg.onFailed = onAcked, onFailed
 	// The user-level send overhead is paid once per gm_send call.
-	h.eng.Schedule(h.par.HostSendOverhead, func() {
-		for i, fr := range frags {
-			pkt := packet.Get()
-			pkt.Route = append(pkt.Route, route...)
-			pkt.Type = typ
-			pkt.Payload = append(pkt.Payload, fr...)
-			pkt.Src = int(h.node)
-			pkt.Dst = int(dst)
-			pkt.SrcPort = srcPort
-			pkt.DstPort = dstPort
-			pkt.MsgID = id
-			pkt.FragIndex = i
-			pkt.LastFrag = i == len(frags)-1
-			pkt.Epoch = h.epoch
-			if h.GossipStamp != nil {
-				pkt.Gossip = h.GossipStamp()
-			}
-			var ackCb, failCb func()
-			if pkt.LastFrag {
-				ackCb, failCb = onAcked, onFailed
-			}
-			c.enqueue(pkt, ackCb, failCb)
+	h.eng.ScheduleArg(h.par.HostSendOverhead, h.fnSegment, msg)
+}
+
+// segment cuts a message into MTU-sized packets and enqueues them on
+// its conn.
+func (h *Host) segment(a any) {
+	msg := a.(*outMsg)
+	frags := (len(msg.payload) + h.par.MTU - 1) / h.par.MTU
+	if frags == 0 {
+		frags = 1 // an empty message still takes one packet
+	}
+	for i := 0; i < frags; i++ {
+		off := i * h.par.MTU
+		end := min(off+h.par.MTU, len(msg.payload))
+		pkt := packet.Get()
+		pkt.Route = append(pkt.Route, msg.route...)
+		pkt.Type = msg.typ
+		pkt.Payload = append(pkt.Payload, msg.payload[off:end]...)
+		pkt.Src = int(h.node)
+		pkt.Dst = int(msg.c.peer)
+		pkt.SrcPort = msg.srcPort
+		pkt.DstPort = msg.dstPort
+		pkt.MsgID = msg.id
+		pkt.FragIndex = i
+		pkt.LastFrag = i == frags-1
+		pkt.Epoch = h.epoch
+		if h.GossipStamp != nil {
+			pkt.Gossip = h.GossipStamp()
 		}
-	})
+		var ackCb, failCb func()
+		if pkt.LastFrag {
+			ackCb, failCb = msg.onAcked, msg.onFailed
+		}
+		msg.c.enqueue(pkt, ackCb, failCb)
+	}
+	route := msg.route[:0]
+	*msg = outMsg{route: route} // keep the route buffer's capacity
+	h.outMsgs.Put(msg)
+}
+
+// handOff gives a reassembled message to its destination port, or to
+// the legacy OnMessage callback when nobody opened that port.
+func (h *Host) handOff(a any) {
+	in := a.(*inMsg)
+	c, srcPort, dstPort, msg := in.c, in.srcPort, in.dstPort, in.payload
+	*in = inMsg{}
+	h.inMsgs.Put(in)
+	if h.deliverToPort(c.peer, srcPort, dstPort, msg, h.eng.Now()) {
+		return
+	}
+	if h.OnMessage != nil {
+		h.OnMessage(c.peer, msg, h.eng.Now())
+	}
 }
 
 // peerConn returns the conn to peer, or nil if none was opened.

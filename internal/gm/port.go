@@ -3,6 +3,7 @@ package gm
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -20,9 +21,12 @@ type Port struct {
 	id   uint8
 
 	recvTokens int
-	queued     []portMsg
+	queued     sim.FIFO[portMsg]
 
 	sendTokens int
+	// fnToken returns a send token; it is both the acknowledgement and
+	// the failure callback of every message sent from the port.
+	fnToken func()
 
 	// OnReceive delivers one message per receive token.
 	OnReceive func(src topology.NodeID, srcPort uint8, payload []byte, t units.Time)
@@ -48,6 +52,7 @@ func (h *Host) OpenPort(id uint8, sendTokens int) (*Port, error) {
 		return nil, fmt.Errorf("gm: port needs at least one send token")
 	}
 	p := &Port{host: h, id: id, sendTokens: sendTokens}
+	p.fnToken = p.returnToken
 	h.ports[id] = p
 	return p, nil
 }
@@ -66,7 +71,7 @@ func (p *Port) ID() uint8 { return p.id }
 func (p *Port) FreeSendTokens() int { return p.sendTokens }
 
 // QueuedMessages returns messages waiting for receive tokens.
-func (p *Port) QueuedMessages() int { return len(p.queued) }
+func (p *Port) QueuedMessages() int { return p.queued.Len() }
 
 // ProvideReceiveTokens adds n receive buffers, draining any queued
 // messages into OnReceive.
@@ -79,9 +84,8 @@ func (p *Port) ProvideReceiveTokens(n int) {
 }
 
 func (p *Port) drain() {
-	for p.recvTokens > 0 && len(p.queued) > 0 {
-		m := p.queued[0]
-		p.queued = p.queued[1:]
+	for p.recvTokens > 0 && p.queued.Len() > 0 {
+		m := p.queued.Pop()
 		p.recvTokens--
 		if p.OnReceive != nil {
 			p.OnReceive(m.src, m.srcPort, m.payload, p.host.eng.Now())
@@ -107,13 +111,11 @@ func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	// The send token comes back on either outcome: acknowledgement or
 	// dead-peer failure — otherwise a failed peer would strand the
 	// port's tokens forever.
-	h.sendPort(dst, payload, hdr, typ, p.id, dstPort, func() {
-		p.sendTokens++
-	}, func() {
-		p.sendTokens++
-	})
+	h.sendPort(dst, payload, hdr, typ, p.id, dstPort, p.fnToken, p.fnToken)
 	return nil
 }
+
+func (p *Port) returnToken() { p.sendTokens++ }
 
 // deliverToPort routes a completed message to its port, or reports
 // false for the legacy path.
@@ -122,7 +124,7 @@ func (h *Host) deliverToPort(src topology.NodeID, srcPort, dstPort uint8, payloa
 	if p == nil {
 		return false
 	}
-	p.queued = append(p.queued, portMsg{src: src, srcPort: srcPort, payload: payload, at: t})
+	p.queued.Push(portMsg{src: src, srcPort: srcPort, payload: payload, at: t})
 	p.drain()
 	return true
 }

@@ -24,11 +24,13 @@ const (
 	PrioSend = 10 // send setup
 )
 
+// task is one queued handler, fn(arg).
 type task struct {
 	prio   int
 	seq    uint64
 	cycles int
-	fn     func()
+	fn     func(any)
+	arg    any
 }
 
 // taskHeap is a binary heap of task values (highest priority first,
@@ -63,7 +65,7 @@ func (h *taskHeap) pop() task {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = task{} // drop the fn reference for the collector
+	s[n] = task{} // drop the fn/arg references for the collector
 	s = s[:n]
 	*h = s
 	i := 0
@@ -103,10 +105,10 @@ type CPU struct {
 	// Executed counts completed tasks.
 	Executed uint64
 
-	// curFn is the handler executing now; doneFn is the long-lived
+	// cur is the handler executing now; doneFn is the long-lived
 	// completion callback shared by every dispatch, so dispatching does
 	// not allocate a closure per task.
-	curFn  func()
+	cur    task
 	doneFn func()
 }
 
@@ -129,10 +131,22 @@ func (c *CPU) Freq() units.Frequency { return c.freq }
 // priority. fn executes when the work completes (the handler's effect
 // becomes visible at its end).
 func (c *CPU) Post(prio, cycles int, fn func()) {
+	c.PostArg(prio, cycles, callFunc, fn)
+}
+
+// callFunc runs a handler queued by Post. A func value boxes into an
+// any without allocating.
+func callFunc(fn any) { fn.(func())() }
+
+// PostArg is Post for a handler that takes one argument: fn(arg) runs
+// when the work completes. Hot paths pass a long-lived fn and a
+// pointer arg (the sim.ScheduleArg idiom) instead of allocating a
+// capturing closure per task.
+func (c *CPU) PostArg(prio, cycles int, fn func(any), arg any) {
 	if cycles < 0 {
 		panic("lanai: negative cycle cost")
 	}
-	c.pending.push(task{prio: prio, seq: c.seq, cycles: cycles, fn: fn})
+	c.pending.push(task{prio: prio, seq: c.seq, cycles: cycles, fn: fn, arg: arg})
 	c.seq++
 	c.dispatch()
 }
@@ -151,16 +165,16 @@ func (c *CPU) dispatch() {
 	t := c.pending.pop()
 	d := c.freq.Cycles(t.cycles + c.dispatchCycles)
 	c.BusyTime += d
-	c.curFn = t.fn
+	c.cur = t
 	c.eng.Schedule(d, c.doneFn)
 }
 
 // taskDone is the shared completion handler: it runs the current task
 // and dispatches the next.
 func (c *CPU) taskDone() {
-	fn := c.curFn
-	c.curFn = nil
-	fn()
+	t := c.cur
+	c.cur = task{}
+	t.fn(t.arg)
 	c.busy = false
 	c.Executed++
 	c.dispatch()

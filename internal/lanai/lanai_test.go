@@ -126,8 +126,8 @@ func TestHostDMASerialises(t *testing.T) {
 	eng := sim.NewEngine()
 	nic := NewNIC(eng, DefaultParams())
 	var t1, t2 units.Time
-	nic.HostDMA(4096, func(tm units.Time) { t1 = tm })
-	nic.HostDMA(4096, func(tm units.Time) { t2 = tm })
+	nic.HostDMA(4096, func(_ any, tm units.Time) { t1 = tm }, nil)
+	nic.HostDMA(4096, func(_ any, tm units.Time) { t2 = tm }, nil)
 	if nic.HostDMAQueued() != 1 {
 		t.Errorf("queued = %d, want 1", nic.HostDMAQueued())
 	}
@@ -151,7 +151,7 @@ func TestHostDMAZeroBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	nic := NewNIC(eng, DefaultParams())
 	var done units.Time
-	nic.HostDMA(0, func(tm units.Time) { done = tm })
+	nic.HostDMA(0, func(_ any, tm units.Time) { done = tm }, nil)
 	eng.Run()
 	if done != DefaultParams().HostDMAStartup {
 		t.Errorf("zero-byte DMA took %v, want just startup", done)

@@ -55,16 +55,41 @@ type NIC struct {
 	HostDMABusy units.Time
 	// HostDMATransfers counts completed host DMA transactions.
 	HostDMATransfers uint64
+
+	// ops recycles the DMA operation records.
+	ops sim.FreeList[dmaOp]
+	// Long-lived engine callbacks shared by every transfer.
+	fnGrant    func()
+	fnFinish   func(any)
+	fnChainEnd func(any)
+}
+
+// dmaOp is one host DMA transaction. It owns the host DMA engine
+// (it is the Resource owner) from grant to completion and carries the
+// completion callback and its argument. Records come from the NIC's
+// free list and go back to it when the transfer completes.
+type dmaOp struct {
+	nbytes int
+	// chunk is the chunk size of a chained transfer (0: one transfer).
+	chunk int
+	// Exactly one of done (HostDMA) and ready (HostDMAChunked) is set.
+	done  func(arg any, t units.Time)
+	ready func(arg any, firstChunkAt, doneAt units.Time)
+	arg   any
 }
 
 // NewNIC builds a NIC on the shared engine.
 func NewNIC(eng *sim.Engine, par Params) *NIC {
-	return &NIC{
+	n := &NIC{
 		eng:     eng,
 		par:     par,
 		CPU:     NewCPU(eng, par.Freq, par.DispatchCycles),
 		hostDMA: sim.NewResource("hostDMA"),
 	}
+	n.fnGrant = n.grant
+	n.fnFinish = n.finish
+	n.fnChainEnd = n.chainEnd
+	return n
 }
 
 // Params returns the NIC's hardware constants.
@@ -72,49 +97,87 @@ func (n *NIC) Params() Params { return n.par }
 
 // HostDMA performs a host<->NIC transfer of n bytes: it queues on the
 // single host DMA engine, pays the startup latency plus the transfer
-// time, then runs done. Callers model SDMA (host to NIC send buffer)
-// and RDMA (NIC receive buffer to host) with it.
-func (n *NIC) HostDMA(nbytes int, done func(t units.Time)) {
-	tok := new(int)
-	n.hostDMA.Acquire(tok, func() {
-		d := n.par.HostDMAStartup + units.TransferTime(nbytes, n.par.HostDMABandwidth)
-		n.HostDMABusy += d
-		n.eng.Schedule(d, func() {
-			n.hostDMA.Release(tok)
-			n.HostDMATransfers++
-			done(n.eng.Now())
-		})
-	})
+// time, then runs done(arg, t). Callers model SDMA (host to NIC send
+// buffer) and RDMA (NIC receive buffer to host) with it, passing a
+// long-lived done and a pointer arg so a transfer allocates nothing.
+func (n *NIC) HostDMA(nbytes int, done func(arg any, t units.Time), arg any) {
+	op := n.ops.Get()
+	op.nbytes, op.done, op.arg = nbytes, done, arg
+	n.hostDMA.Acquire(op, n.fnGrant)
 }
 
 // HostDMAQueued reports whether transfers are waiting on the engine.
 func (n *NIC) HostDMAQueued() int { return n.hostDMA.QueueLen() }
 
+// HostDMAOutstanding returns the DMA operation records checked out of
+// the free list: transfers queued on or holding the engine. A drained
+// NIC reads zero.
+func (n *NIC) HostDMAOutstanding() int { return n.ops.Out() }
+
 // HostDMAChunked performs a chained host DMA of nbytes in chunks: the
 // GM "SDMA chunks" pipeline of the MCP's Figure 4 structure. ready is
-// called when the engine grants, with the time the first chunk will be
-// in NIC memory (the wire may start then) and the time the last byte
-// lands. Every chunk after the first pays the descriptor-chaining
-// overhead; the engine stays busy until the final chunk.
-func (n *NIC) HostDMAChunked(nbytes, chunkBytes int, ready func(firstChunkAt, doneAt units.Time)) {
-	if chunkBytes <= 0 || chunkBytes >= nbytes {
-		// Degenerate: a single transfer.
-		n.HostDMA(nbytes, func(t units.Time) { ready(t, t) })
+// called with arg when the engine grants, with the time the first
+// chunk will be in NIC memory (the wire may start then) and the time
+// the last byte lands. Every chunk after the first pays the
+// descriptor-chaining overhead; the engine stays busy until the final
+// chunk.
+func (n *NIC) HostDMAChunked(nbytes, chunkBytes int, ready func(arg any, firstChunkAt, doneAt units.Time), arg any) {
+	op := n.ops.Get()
+	op.nbytes, op.ready, op.arg = nbytes, ready, arg
+	if chunkBytes > 0 && chunkBytes < nbytes {
+		op.chunk = chunkBytes
+	}
+	// Otherwise degenerate: a single transfer, reported as ready(t, t).
+	n.hostDMA.Acquire(op, n.fnGrant)
+}
+
+func (n *NIC) putOp(op *dmaOp) {
+	*op = dmaOp{}
+	n.ops.Put(op)
+}
+
+// grant runs when the engine is granted to the operation that now owns
+// it.
+func (n *NIC) grant() {
+	op := n.hostDMA.Owner().(*dmaOp)
+	if op.chunk == 0 {
+		d := n.par.HostDMAStartup + units.TransferTime(op.nbytes, n.par.HostDMABandwidth)
+		n.HostDMABusy += d
+		n.eng.ScheduleArg(d, n.fnFinish, op)
 		return
 	}
-	tok := new(int)
-	n.hostDMA.Acquire(tok, func() {
-		now := n.eng.Now()
-		chunks := (nbytes + chunkBytes - 1) / chunkBytes
-		first := now + n.par.HostDMAStartup + units.TransferTime(chunkBytes, n.par.HostDMABandwidth)
-		done := now + n.par.HostDMAStartup +
-			units.TransferTime(nbytes, n.par.HostDMABandwidth) +
-			units.Time(chunks-1)*n.par.ChunkOverhead
-		n.HostDMABusy += done - now
-		ready(first, done)
-		n.eng.ScheduleAt(done, func() {
-			n.hostDMA.Release(tok)
-			n.HostDMATransfers++
-		})
-	})
+	now := n.eng.Now()
+	chunks := (op.nbytes + op.chunk - 1) / op.chunk
+	first := now + n.par.HostDMAStartup + units.TransferTime(op.chunk, n.par.HostDMABandwidth)
+	done := now + n.par.HostDMAStartup +
+		units.TransferTime(op.nbytes, n.par.HostDMABandwidth) +
+		units.Time(chunks-1)*n.par.ChunkOverhead
+	n.HostDMABusy += done - now
+	op.ready(op.arg, first, done)
+	n.eng.ScheduleArgAt(done, n.fnChainEnd, op)
+}
+
+// finish completes a single transfer: the engine passes to the next
+// waiter, then the caller's callback runs.
+func (n *NIC) finish(a any) {
+	op := a.(*dmaOp)
+	n.hostDMA.Release(op)
+	n.HostDMATransfers++
+	done, ready, arg := op.done, op.ready, op.arg
+	n.putOp(op)
+	t := n.eng.Now()
+	if ready != nil {
+		ready(arg, t, t)
+		return
+	}
+	done(arg, t)
+}
+
+// chainEnd frees the engine after the final chunk of a chained
+// transfer (its caller was told the completion time at grant).
+func (n *NIC) chainEnd(a any) {
+	op := a.(*dmaOp)
+	n.hostDMA.Release(op)
+	n.HostDMATransfers++
+	n.putOp(op)
 }

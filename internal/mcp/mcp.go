@@ -84,34 +84,45 @@ func DefaultConfig(v Variant) Config {
 
 // Stats counts MCP-level activity.
 type Stats struct {
-	PacketsSent     uint64
-	PacketsReceived uint64 // delivered up to the host
-	ITBDetects      uint64 // in-transit markers recognised
-	ITBForwarded    uint64 // in-transit packets re-injected
-	ITBVCSegments   uint64 // re-injected segments that open with a VC lane pair
-	ITBPendingHits  uint64 // re-injections that found the send DMA busy
-	PoolDrops       uint64 // packets flushed by the buffer pool
-	BlockedArrivals uint64 // arrivals that waited for a receive buffer
-	CRCDrops        uint64 // packets flushed for failing the payload CRC
-	StallDrops      uint64 // arrivals flushed while the NIC was stalled
-	StaleEpochDrops uint64 // in-transit packets flushed by the stale-epoch policy
-	GossipDigests   uint64 // membership digests consumed from mapping payloads
+	PacketsSent      uint64
+	PacketsReceived  uint64 // delivered up to the host
+	ITBDetects       uint64 // in-transit markers recognised
+	ITBForwarded     uint64 // in-transit packets re-injected
+	ITBVCSegments    uint64 // re-injected segments that open with a VC lane pair
+	ITBPendingHits   uint64 // re-injections that found the send DMA busy
+	PoolDrops        uint64 // packets flushed by the buffer pool
+	BlockedArrivals  uint64 // arrivals that waited for a receive buffer
+	CRCDrops         uint64 // packets flushed for failing the payload CRC
+	StallDrops       uint64 // arrivals flushed while the NIC was stalled
+	StaleEpochDrops  uint64 // in-transit packets flushed by the stale-epoch policy
+	GossipDigests    uint64 // membership digests consumed from mapping payloads
 	GossipPiggybacks uint64 // membership digests consumed off in-transit data packets
 }
 
-// sendJob is a packet staged for transmission.
+// sendJob is a packet staged for transmission. Jobs are pooled per
+// MCP: SubmitSend draws one and the wire completion returns it once
+// the packet's tail has left the NIC.
 type sendJob struct {
 	pkt    *packet.Packet
-	onSent func(t units.Time) // tail left the NIC
+	onSent func(pkt *packet.Packet, t units.Time) // tail left the NIC
 	// tailReady is when the packet's last byte will be in NIC memory;
 	// zero when the whole packet was staged before queueing.
 	tailReady units.Time
 }
 
-// itbJob is a deferred in-transit re-injection.
-type itbJob struct {
+// recvRec carries an arriving packet through the ITB firmware's
+// Early Recv check and, for an in-transit packet, through detection
+// and re-injection. Records are pooled per MCP: acceptFlight draws one
+// (PacketReceived, with Early Recv disabled), and it goes back when
+// the check finds a normal packet, when a re-injection's tail has
+// left, or when a flushed in-transit packet completes reception.
+type recvRec struct {
 	pkt       *packet.Packet
 	tailReady units.Time
+	// flush marks a detected in-transit packet that will not be
+	// forwarded (stale epoch or corrupt ITB header): its buffer is
+	// freed when its reception completes.
+	flush bool
 }
 
 // MCP is one NIC's firmware instance. It implements fabric.Endpoint.
@@ -127,15 +138,45 @@ type MCP struct {
 	// single engine shared with ITB re-injections, which take
 	// priority via the ITB-packet-pending path.
 	sendBufsFree int
-	hostQ        sim.FIFO[sendJob] // waiting for a send buffer / SDMA
-	readyQ       sim.FIFO[sendJob] // in NIC SRAM, waiting for the wire
-	itbQ         sim.FIFO[itbJob]  // pending re-injections (highest priority)
+	hostQ        sim.FIFO[*sendJob] // waiting for a send buffer / SDMA
+	readyQ       sim.FIFO[*sendJob] // in NIC SRAM, waiting for the wire
+	itbQ         sim.FIFO[*recvRec] // pending re-injections (highest priority)
 	wireBusy     bool
+	// The packet on the wire (one engine, so at most one): a normal
+	// send or an in-transit re-injection. Its OnTailOut reads it here.
+	wireJob *sendJob
+	wireRec *recvRec
 
 	// Receive side.
 	recvBufsFree int
 	waiting      sim.FIFO[*fabric.Flight] // blocked arrivals (no buffer pool)
-	inTransit    map[*packet.Packet]bool
+	// transit holds the detected in-transit packets that still occupy
+	// a receive buffer; each holds one, so the list is never longer
+	// than the buffer count.
+	transit []*recvRec
+
+	// Free lists of the pooled records.
+	jobs sim.FreeList[sendJob]
+	recs sim.FreeList[recvRec]
+
+	// Handlers, bound once in New so posting and scheduling them
+	// allocates nothing per packet.
+	fnSDMA         func(any)
+	fnSDMADone     func(any, units.Time)
+	fnSDMAChunked  func(any, units.Time, units.Time)
+	fnStaged       func(any)
+	fnSendSetup    func(any)
+	fnSendTailOut  func(units.Time)
+	fnEarlyArm     func(any)
+	fnEarlyRecv    func(any)
+	fnDetect       func(any)
+	fnProgramSDMA  func(any)
+	fnReinject     func(any)
+	fnITBTailOut   func(units.Time)
+	fnRecvComplete func(any)
+	fnRDMASetup    func(any)
+	fnRDMADone     func(any, units.Time)
+	fnProgramRecv  func()
 
 	// epoch is the route-table version the recovery protocol last
 	// installed on this firmware (SetEpoch); the stale-ITB policy
@@ -205,10 +246,45 @@ func New(net *fabric.Network, host topology.NodeID, cfg Config) *MCP {
 		nic:          lanai.NewNIC(net.Engine(), cfg.NIC),
 		sendBufsFree: cfg.SendBuffers,
 		recvBufsFree: cfg.RecvBuffers,
-		inTransit:    make(map[*packet.Packet]bool),
 	}
+	m.fnSDMA = m.sdma
+	m.fnSDMADone = m.sdmaDone
+	m.fnSDMAChunked = m.sdmaChunked
+	m.fnStaged = m.staged
+	m.fnSendSetup = m.sendSetup
+	m.fnSendTailOut = m.sendTailOut
+	m.fnEarlyArm = m.earlyArm
+	m.fnEarlyRecv = m.earlyRecv
+	m.fnDetect = m.detect
+	m.fnProgramSDMA = m.programSDMA
+	m.fnReinject = m.reinject
+	m.fnITBTailOut = m.itbTailOut
+	m.fnRecvComplete = m.recvComplete
+	m.fnRDMASetup = m.rdmaSetup
+	m.fnRDMADone = m.rdmaDone
+	m.fnProgramRecv = m.programRecv
 	net.Attach(host, m)
 	return m
+}
+
+// Outstanding returns the pooled send jobs and receive records in
+// motion: checked out of their free lists and not parked in one of the
+// NIC's queues (host, ready, ITB-pending), where a stalled NIC keeps
+// them. Once the engine has run dry both read zero; anything else is
+// a record a code path forgot to return.
+func (m *MCP) Outstanding() (sendJobs, recvRecs int) {
+	return m.jobs.Out() - m.hostQ.Len() - m.readyQ.Len(), m.recs.Out() - m.itbQ.Len()
+}
+
+func (m *MCP) getRec(pkt *packet.Packet, tailReady units.Time) *recvRec {
+	r := m.recs.Get()
+	r.pkt, r.tailReady = pkt, tailReady
+	return r
+}
+
+func (m *MCP) putRec(r *recvRec) {
+	*r = recvRec{}
+	m.recs.Put(r)
 }
 
 // Host returns the host node this firmware serves.
@@ -293,14 +369,16 @@ func (m *MCP) emit(k trace.Kind, pktID uint64, detail string) {
 // ---------------------------------------------------------------
 // Send path: host -> SDMA -> NIC buffer -> Send state machine -> wire.
 
-// SubmitSend queues a packet for transmission. onSent (optional) fires
-// when the packet's tail has left the NIC. The route bytes must
-// already be stamped in pkt.Route (GM stamps them from the mapper's
-// table when the send is enqueued).
-func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(t units.Time)) {
+// SubmitSend queues a packet for transmission. onSent (optional)
+// fires when the packet's tail has left the NIC, with the packet
+// itself; it must not keep the packet, which belongs to the receiver
+// from then on. The route bytes must already be stamped in pkt.Route
+// (GM stamps them from the mapper's table when the send is enqueued).
+func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(pkt *packet.Packet, t units.Time)) {
 	m.net.TagPacket(pkt)
 	m.emit(trace.SendQueued, pkt.ID, pkt.Type.String())
-	job := sendJob{pkt: pkt, onSent: onSent}
+	job := m.jobs.Get()
+	job.pkt, job.onSent = pkt, onSent
 	if m.sendBufsFree == 0 {
 		m.hostQ.Push(job)
 		m.gHostQ.SetMax(float64(m.hostQ.Len()))
@@ -313,26 +391,34 @@ func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(t units.Time)) {
 // startSDMA moves the packet from host memory into a NIC send buffer.
 // With chunking the packet becomes wire-eligible after its first
 // chunk; the fabric paces the tail on the SDMA's completion.
-func (m *MCP) startSDMA(job sendJob) {
-	m.nic.CPU.Post(lanai.PrioDMA, m.cfg.Costs.SDMASetupCycles, func() {
-		if m.cfg.SendChunkBytes > 0 {
-			m.nic.HostDMAChunked(job.pkt.WireLen(), m.cfg.SendChunkBytes,
-				func(firstAt, doneAt units.Time) {
-					job.tailReady = doneAt
-					m.eng.ScheduleAt(firstAt, func() {
-						m.readyQ.Push(job)
-						m.gReadyQ.SetMax(float64(m.readyQ.Len()))
-						m.tryWire()
-					})
-				})
-			return
-		}
-		m.nic.HostDMA(job.pkt.WireLen(), func(units.Time) {
-			m.readyQ.Push(job)
-			m.gReadyQ.SetMax(float64(m.readyQ.Len()))
-			m.tryWire()
-		})
-	})
+func (m *MCP) startSDMA(job *sendJob) {
+	m.nic.CPU.PostArg(lanai.PrioDMA, m.cfg.Costs.SDMASetupCycles, m.fnSDMA, job)
+}
+
+// sdma is the SDMA state machine programming the host DMA engine.
+func (m *MCP) sdma(a any) {
+	job := a.(*sendJob)
+	if m.cfg.SendChunkBytes > 0 {
+		m.nic.HostDMAChunked(job.pkt.WireLen(), m.cfg.SendChunkBytes, m.fnSDMAChunked, job)
+		return
+	}
+	m.nic.HostDMA(job.pkt.WireLen(), m.fnSDMADone, job)
+}
+
+// sdmaChunked runs at the chained SDMA's grant: the job is staged when
+// its first chunk is in NIC memory.
+func (m *MCP) sdmaChunked(a any, firstAt, doneAt units.Time) {
+	a.(*sendJob).tailReady = doneAt
+	m.eng.ScheduleArgAt(firstAt, m.fnStaged, a)
+}
+
+func (m *MCP) sdmaDone(a any, _ units.Time) { m.staged(a) }
+
+// staged queues a job whose packet is in NIC SRAM for the wire.
+func (m *MCP) staged(a any) {
+	m.readyQ.Push(a.(*sendJob))
+	m.gReadyQ.SetMax(float64(m.readyQ.Len()))
+	m.tryWire()
 }
 
 // SetStalled wedges (or revives) the NIC: while stalled it flushes
@@ -397,25 +483,40 @@ func (m *MCP) tryWire() {
 	}
 	job := m.readyQ.Pop()
 	m.wireBusy = true
-	m.nic.CPU.Post(lanai.PrioSend, m.cfg.Costs.SendSetupCycles, func() {
-		m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
-			TailReadyAt: job.tailReady,
-			OnTailOut: func(t units.Time) {
-				m.stats.PacketsSent++
-				m.wireBusy = false
-				m.sendBufsFree++
-				// A queued host send can now claim the freed buffer.
-				if m.hostQ.Len() > 0 {
-					m.sendBufsFree--
-					m.startSDMA(m.hostQ.Pop())
-				}
-				if job.onSent != nil {
-					job.onSent(t)
-				}
-				m.tryWire()
-			},
-		})
+	m.nic.CPU.PostArg(lanai.PrioSend, m.cfg.Costs.SendSetupCycles, m.fnSendSetup, job)
+}
+
+// sendSetup is the Send state machine: it puts the staged packet on
+// the wire.
+func (m *MCP) sendSetup(a any) {
+	job := a.(*sendJob)
+	m.wireJob = job
+	m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
+		TailReadyAt: job.tailReady,
+		OnTailOut:   m.fnSendTailOut,
 	})
+}
+
+// sendTailOut runs when a normal send's tail has left the NIC: the
+// wire and the send buffer are free again.
+func (m *MCP) sendTailOut(t units.Time) {
+	job := m.wireJob
+	m.wireJob = nil
+	m.stats.PacketsSent++
+	m.wireBusy = false
+	m.sendBufsFree++
+	// A queued host send can now claim the freed buffer.
+	if m.hostQ.Len() > 0 {
+		m.sendBufsFree--
+		m.startSDMA(m.hostQ.Pop())
+	}
+	pkt, onSent := job.pkt, job.onSent
+	*job = sendJob{}
+	m.jobs.Put(job)
+	if onSent != nil {
+		onSent(pkt, t)
+	}
+	m.tryWire()
 }
 
 // ---------------------------------------------------------------
@@ -450,45 +551,49 @@ func (m *MCP) HeaderArrived(f *fabric.Flight) {
 
 // acceptFlight programs the receive DMA for the arriving packet and,
 // on the ITB firmware, arms the Early Recv event for when the first
-// four bytes are in. The packet and completion time are captured here:
-// the early-recv handler may run after a short packet has fully
-// arrived, at which point the Flight object is no longer ours to read
-// (the fabric recycles finished flights).
+// four bytes are in. The packet and completion time are captured here
+// in a receive record: the early-recv handler may run after a short
+// packet has fully arrived, at which point the Flight object is no
+// longer ours to read (the fabric recycles finished flights).
 func (m *MCP) acceptFlight(f *fabric.Flight) {
 	f.Accept()
 	if m.cfg.Variant != ITB || m.cfg.DisableEarlyRecv {
 		return
 	}
-	pkt, tailReady := f.Packet(), f.CompletionTime()
+	rec := m.getRec(f.Packet(), f.CompletionTime())
 	fourBytes := 4 * m.net.Params().ByteTime()
-	m.eng.Schedule(fourBytes, func() {
-		m.nic.CPU.Post(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, func() {
-			m.earlyRecv(pkt, tailReady)
-		})
-	})
+	m.eng.ScheduleArg(fourBytes, m.fnEarlyArm, rec)
+}
+
+// earlyArm raises the Early Recv Packet event: the first four bytes
+// are in.
+func (m *MCP) earlyArm(a any) {
+	m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, m.fnEarlyRecv, a)
 }
 
 // earlyRecv is the Early Recv Packet event handler: the first four
 // bytes of the packet are visible, enough to see the ITB marker.
-func (m *MCP) earlyRecv(pkt *packet.Packet, tailReady units.Time) {
-	if !pkt.AtITBBoundary() {
+func (m *MCP) earlyRecv(a any) {
+	rec := a.(*recvRec)
+	if !rec.pkt.AtITBBoundary() {
 		// A normal packet (or an ITB-routed packet at its final
 		// destination): resume normal dispatching. The check's cost
 		// has already been charged — that is the Figure 7 overhead.
+		m.putRec(rec)
 		return
 	}
-	m.detectAndForward(pkt, tailReady)
+	m.detectAndForward(rec)
 }
 
 // detectAndForward handles a detected in-transit packet: it pays the
 // detection cost, pops the ITB header and re-injects (or raises the
-// pending flag). tailReady is when the packet's last byte will be in
-// NIC memory — the re-injection may start earlier (cut-through) but
-// cannot stream faster than that.
-func (m *MCP) detectAndForward(pkt *packet.Packet, tailReady units.Time) {
+// pending flag). rec.tailReady is when the packet's last byte will be
+// in NIC memory — the re-injection may start earlier (cut-through)
+// but cannot stream faster than that.
+func (m *MCP) detectAndForward(rec *recvRec) {
 	m.stats.ITBDetects++
-	m.emit(trace.ITBDetect, pkt.ID, "")
-	m.inTransit[pkt] = true
+	m.emit(trace.ITBDetect, rec.pkt.ID, "")
+	m.transit = append(m.transit, rec)
 	prio := lanai.PrioITB
 	detect := m.cfg.Costs.ITBDetectCycles
 	if m.cfg.ReinjectViaDispatch {
@@ -497,89 +602,133 @@ func (m *MCP) detectAndForward(pkt *packet.Packet, tailReady units.Time) {
 		prio = lanai.PrioSend
 		detect += m.cfg.NIC.DispatchCycles
 	}
-	m.nic.CPU.Post(prio, detect, func() {
-		if len(pkt.Gossip) > 0 && m.OnGossip != nil {
-			// A data packet crossing this host in transit carries a
-			// piggybacked membership digest: consume it (the header is
-			// already in SRAM at detection time) but leave it on the
-			// packet, so one stamped packet seeds every ITB host on its
-			// route.
-			if entries, _, err := packet.ParseGossipDigest(pkt.Gossip); err == nil {
-				m.stats.GossipPiggybacks++
-				m.OnGossip(entries, m.eng.Now())
-			}
+	m.nic.CPU.PostArg(prio, detect, m.fnDetect, rec)
+}
+
+// detect is the in-transit handling once the marker is seen.
+func (m *MCP) detect(a any) {
+	rec := a.(*recvRec)
+	pkt := rec.pkt
+	if len(pkt.Gossip) > 0 && m.OnGossip != nil {
+		// A data packet crossing this host in transit carries a
+		// piggybacked membership digest: consume it (the header is
+		// already in SRAM at detection time) but leave it on the
+		// packet, so one stamped packet seeds every ITB host on its
+		// route.
+		if entries, _, err := packet.ParseGossipDigest(pkt.Gossip); err == nil {
+			m.stats.GossipPiggybacks++
+			m.OnGossip(entries, m.eng.Now())
 		}
-		if m.cfg.DropStaleITB && pkt.Epoch > 0 && pkt.Epoch < m.epoch {
-			// Stale-epoch policy: the packet was stamped under an older
-			// table than this host runs; flush it instead of forwarding
-			// over sub-paths the remap may have routed around. Reception
-			// still completes into the buffer, which is freed there.
-			m.stats.StaleEpochDrops++
+	}
+	if m.cfg.DropStaleITB && pkt.Epoch > 0 && pkt.Epoch < m.epoch {
+		// Stale-epoch policy: the packet was stamped under an older
+		// table than this host runs; flush it instead of forwarding
+		// over sub-paths the remap may have routed around. Reception
+		// still completes into the buffer, which is freed there.
+		m.stats.StaleEpochDrops++
+		if m.tracer != nil {
 			m.emit(trace.StaleEpochDrop, pkt.ID, fmt.Sprintf("epoch=%d<%d", pkt.Epoch, m.epoch))
-			m.inTransit[pkt] = false
-			return
 		}
-		if _, err := pkt.PopITBHeader(); err != nil {
-			// Corrupt in-transit header: flush the packet; reception
-			// still completes into the buffer, which is freed there.
-			m.inTransit[pkt] = false
-			return
-		}
-		if pkt.AtVCBoundary() {
-			// The re-injected segment selects a virtual lane at its
-			// first switch: the ITB and VC mechanisms composing on one
-			// route (the ablation's combined arm). The firmware itself
-			// needs no lane awareness — the pair rides in the route
-			// bytes it forwards untouched.
-			m.stats.ITBVCSegments++
-		}
-		job := itbJob{pkt: pkt, tailReady: tailReady}
-		if m.wireBusy {
-			// Send engine busy: raise ITB packet pending; the wire
-			// completion path drains itbQ first.
-			m.stats.ITBPendingHits++
-			m.emit(trace.ITBPending, pkt.ID, "")
-			m.itbQ.Push(job)
-			m.gITBQ.SetMax(float64(m.itbQ.Len()))
-			return
-		}
-		m.wireBusy = true
-		m.programReinjection(job)
-	})
+		rec.flush = true
+		return
+	}
+	if _, err := pkt.PopITBHeader(); err != nil {
+		// Corrupt in-transit header: flush the packet; reception
+		// still completes into the buffer, which is freed there.
+		rec.flush = true
+		return
+	}
+	if pkt.AtVCBoundary() {
+		// The re-injected segment selects a virtual lane at its
+		// first switch: the ITB and VC mechanisms composing on one
+		// route (the ablation's combined arm). The firmware itself
+		// needs no lane awareness — the pair rides in the route
+		// bytes it forwards untouched.
+		m.stats.ITBVCSegments++
+	}
+	if m.wireBusy {
+		// Send engine busy: raise ITB packet pending; the wire
+		// completion path drains itbQ first.
+		m.stats.ITBPendingHits++
+		m.emit(trace.ITBPending, pkt.ID, "")
+		m.itbQ.Push(rec)
+		m.gITBQ.SetMax(float64(m.itbQ.Len()))
+		return
+	}
+	m.wireBusy = true
+	m.programReinjection(rec)
 }
 
 // programReinjection programs the send DMA with the in-transit packet
 // (possibly while it is still being received — virtual cut-through)
 // and injects it.
-func (m *MCP) programReinjection(job itbJob) {
-	m.emit(trace.ITBReinject, job.pkt.ID, "")
-	m.nic.CPU.Post(lanai.PrioITB, m.cfg.Costs.ProgramSendDMACycles, func() {
-		m.eng.Schedule(m.cfg.Costs.SendDMAStartup, func() {
-			m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
-				TailReadyAt: job.tailReady,
-				OnTailOut: func(units.Time) {
-					m.stats.ITBForwarded++
-					m.wireBusy = false
-					// The in-transit packet has fully left: free its
-					// receive buffer and re-arm a reception.
-					delete(m.inTransit, job.pkt)
-					m.releaseRecvBuffer()
-					m.tryWire()
-				},
-			})
-		})
+func (m *MCP) programReinjection(rec *recvRec) {
+	m.emit(trace.ITBReinject, rec.pkt.ID, "")
+	m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.ProgramSendDMACycles, m.fnProgramSDMA, rec)
+}
+
+// programSDMA has programmed the send DMA; the engine starts after its
+// startup latency.
+func (m *MCP) programSDMA(a any) {
+	m.eng.ScheduleArg(m.cfg.Costs.SendDMAStartup, m.fnReinject, a)
+}
+
+func (m *MCP) reinject(a any) {
+	rec := a.(*recvRec)
+	m.wireRec = rec
+	m.net.Inject(rec.pkt, m.host, fabric.InjectOpts{
+		TailReadyAt: rec.tailReady,
+		OnTailOut:   m.fnITBTailOut,
 	})
+}
+
+// itbTailOut runs when a re-injection's tail has left the NIC.
+func (m *MCP) itbTailOut(units.Time) {
+	rec := m.wireRec
+	m.wireRec = nil
+	m.stats.ITBForwarded++
+	m.wireBusy = false
+	// The in-transit packet has fully left: free its receive buffer
+	// and re-arm a reception.
+	m.dropTransit(rec)
+	m.putRec(rec)
+	m.releaseRecvBuffer()
+	m.tryWire()
+}
+
+// transitOf returns the in-transit record of pkt, or nil.
+func (m *MCP) transitOf(pkt *packet.Packet) *recvRec {
+	for _, r := range m.transit {
+		if r.pkt == pkt {
+			return r
+		}
+	}
+	return nil
+}
+
+// dropTransit removes rec from the in-transit list, keeping the order
+// of the rest.
+func (m *MCP) dropTransit(rec *recvRec) {
+	for i, r := range m.transit {
+		if r == rec {
+			copy(m.transit[i:], m.transit[i+1:])
+			m.transit[len(m.transit)-1] = nil
+			m.transit = m.transit[:len(m.transit)-1]
+			return
+		}
+	}
 }
 
 // PacketReceived implements fabric.Endpoint: the packet tail is fully
 // in the NIC receive buffer.
 func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Time) {
-	if forward, ok := m.inTransit[pkt]; ok || pkt.AtITBBoundary() {
+	if rec := m.transitOf(pkt); rec != nil || pkt.AtITBBoundary() {
 		// An in-transit packet: its buffer is freed when the
-		// re-injection's tail leaves (programReinjection), except for
-		// corrupt ones (forward == false), flushed here.
-		if ok && !forward {
-			delete(m.inTransit, pkt)
+		// re-injection's tail leaves (itbTailOut), except for flushed
+		// ones, freed here.
+		if rec != nil && rec.flush {
+			m.dropTransit(rec)
+			m.putRec(rec)
 			m.releaseRecvBuffer()
 			// Stale-epoch or corrupt-header flush: the in-transit packet
 			// dies in this NIC with no other live reference (early-recv
@@ -587,10 +736,10 @@ func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Tim
 			packet.Recycle(pkt)
 			return
 		}
-		if !ok && m.cfg.Variant == ITB && m.cfg.DisableEarlyRecv {
+		if rec == nil && m.cfg.Variant == ITB && m.cfg.DisableEarlyRecv {
 			// Ablation: store-and-forward detection happens only now,
 			// with the whole packet already in the buffer.
-			m.detectAndForward(pkt, completedAt)
+			m.detectAndForward(m.getRec(pkt, completedAt))
 		}
 		return
 	}
@@ -598,44 +747,50 @@ func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Tim
 	if m.cfg.Variant == ITB {
 		cycles += m.cfg.Costs.RecvCompleteITBExtraCycles
 	}
-	if pkt.Corrupt {
+	m.nic.CPU.PostArg(lanai.PrioRecv, cycles, m.fnRecvComplete, pkt)
+}
+
+// recvComplete is the receive-completion handler of a packet that
+// ends its journey here.
+func (m *MCP) recvComplete(a any) {
+	pkt := a.(*packet.Packet)
+	switch {
+	case pkt.Corrupt:
 		// The payload CRC fails at this final destination: flush the
 		// packet; GM's reliability layer will retransmit it (its ack
 		// never goes out). In-transit hosts never reach this point —
 		// cut-through re-injects before the tail (and its CRC) is in,
 		// so corruption rides through ITB hops, exactly as on real
 		// hardware.
-		m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
-			m.stats.CRCDrops++
-			m.emit(trace.Dropped, pkt.ID, "crc")
-			m.releaseRecvBuffer()
-			// The flushed wire packet is dead; its sender retransmits
-			// from the retained original, never from this copy.
-			packet.Recycle(pkt)
-		})
-		return
-	}
-	if pkt.Type == packet.TypeMapping {
+		m.stats.CRCDrops++
+		m.emit(trace.Dropped, pkt.ID, "crc")
+		m.releaseRecvBuffer()
+		// The flushed wire packet is dead; its sender retransmits from
+		// the retained original, never from this copy.
+		packet.Recycle(pkt)
+	case pkt.Type == packet.TypeMapping:
 		// Mapping packets are handled inside the MCP, below GM.
-		m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
-			m.handleMapping(pkt)
-			m.releaseRecvBuffer()
-		})
-		return
-	}
-	m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
+		m.handleMapping(pkt)
+		m.releaseRecvBuffer()
+	default:
 		// RDMA the payload to host memory.
-		m.nic.CPU.Post(lanai.PrioDMA, m.cfg.Costs.RDMASetupCycles, func() {
-			m.nic.HostDMA(len(pkt.Payload), func(t units.Time) {
-				m.stats.PacketsReceived++
-				m.emit(trace.RecvToHost, pkt.ID, "")
-				if m.OnDeliver != nil {
-					m.OnDeliver(pkt, t)
-				}
-				m.releaseRecvBuffer()
-			})
-		})
-	})
+		m.nic.CPU.PostArg(lanai.PrioDMA, m.cfg.Costs.RDMASetupCycles, m.fnRDMASetup, pkt)
+	}
+}
+
+func (m *MCP) rdmaSetup(a any) {
+	m.nic.HostDMA(len(a.(*packet.Packet).Payload), m.fnRDMADone, a)
+}
+
+// rdmaDone hands the packet, now in host memory, up to GM.
+func (m *MCP) rdmaDone(a any, t units.Time) {
+	pkt := a.(*packet.Packet)
+	m.stats.PacketsReceived++
+	m.emit(trace.RecvToHost, pkt.ID, "")
+	if m.OnDeliver != nil {
+		m.OnDeliver(pkt, t)
+	}
+	m.releaseRecvBuffer()
 }
 
 // handleMapping implements the MCP side of the network-mapping
@@ -695,13 +850,17 @@ func (m *MCP) handleMapping(pkt *packet.Packet) {
 // releaseRecvBuffer re-arms a reception and admits a blocked arrival
 // if one is waiting.
 func (m *MCP) releaseRecvBuffer() {
-	m.nic.CPU.Post(lanai.PrioRecv, m.cfg.Costs.ProgramRecvCycles, func() {
-		if !m.exhausted && m.waiting.Len() > 0 {
-			m.acceptFlight(m.waiting.Pop())
-			return
-		}
-		m.recvBufsFree++
-	})
+	m.nic.CPU.Post(lanai.PrioRecv, m.cfg.Costs.ProgramRecvCycles, m.fnProgramRecv)
+}
+
+// programRecv re-arms the freed buffer: a blocked arrival takes it
+// directly, or it returns to the free count.
+func (m *MCP) programRecv() {
+	if !m.exhausted && m.waiting.Len() > 0 {
+		m.acceptFlight(m.waiting.Pop())
+		return
+	}
+	m.recvBufsFree++
 }
 
 // String identifies the instance in traces.

@@ -100,7 +100,7 @@ func TestSendReceiveThroughMCP(t *testing.T) {
 	}
 	var sentAt units.Time
 	pkt := r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 256)
-	r.mcps[r.nodes.Host1].SubmitSend(pkt, func(tm units.Time) { sentAt = tm })
+	r.mcps[r.nodes.Host1].SubmitSend(pkt, func(_ *packet.Packet, tm units.Time) { sentAt = tm })
 	r.eng.Run()
 	if gotPkt == nil {
 		t.Fatal("packet not delivered")

@@ -14,10 +14,16 @@
 // Callers that would otherwise allocate a capturing closure per event
 // can use ScheduleArg/ScheduleArgAt, which carry a single argument to
 // a shared callback.
+//
+// Events that are always scheduled with one constant delay can bypass
+// the heap through a fixed-delay FIFO (Engine.FixedDelay): they arrive
+// already sorted, so the engine merges the FIFO heads with the heap
+// root and the global (at, seq) firing order is unchanged.
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -58,11 +64,14 @@ func (s *slot) live() bool { return s.fn != nil || s.afn != nil }
 // Engine is not safe for concurrent use: a simulation is a single
 // logical timeline and runs on one goroutine by design.
 type Engine struct {
-	now     units.Time
-	seq     uint64
-	slots   []slot
-	free    []int32 // free slot indexes (LIFO)
-	heap    []int32 // slot indexes ordered by (at, seq)
+	now   units.Time
+	seq   uint64
+	slots []slot
+	free  []int32 // free slot indexes (LIFO)
+	heap  []int32 // slot indexes ordered by (at, seq)
+	// fixed holds the fixed-delay FIFOs, one per distinct delay, in
+	// creation order.
+	fixed   []*FixedDelay
 	stopped bool
 	fired   uint64
 }
@@ -76,8 +85,15 @@ func NewEngine() *Engine {
 func (e *Engine) Now() units.Time { return e.now }
 
 // Pending returns the number of events waiting to fire (including
-// cancelled events that have not yet been drained).
-func (e *Engine) Pending() int { return len(e.heap) }
+// cancelled events that have not yet been drained), in the heap and in
+// every fixed-delay FIFO.
+func (e *Engine) Pending() int {
+	n := len(e.heap)
+	for _, q := range e.fixed {
+		n += q.q.Len()
+	}
+	return n
+}
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -126,6 +142,15 @@ func (e *Engine) ScheduleArgAt(t units.Time, fn func(any), arg any) Event {
 }
 
 func (e *Engine) schedule(t units.Time, fn func(), afn func(any), arg any) Event {
+	idx := e.alloc(t, fn, afn, arg)
+	e.heap = append(e.heap, idx)
+	e.siftUp(len(e.heap) - 1)
+	return Event{idx: idx, gen: e.slots[idx].gen}
+}
+
+// alloc fills a free slot with the next event (taking the next seq)
+// and returns its index; the caller queues it.
+func (e *Engine) alloc(t units.Time, fn func(), afn func(any), arg any) int32 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
@@ -141,9 +166,7 @@ func (e *Engine) schedule(t units.Time, fn func(), afn func(any), arg any) Event
 	s.at, s.seq = t, e.seq
 	s.fn, s.afn, s.arg = fn, afn, arg
 	e.seq++
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
-	return Event{idx: idx, gen: s.gen}
+	return idx
 }
 
 // Cancel prevents ev from firing. Cancelling NoEvent, an already-fired
@@ -194,17 +217,29 @@ func (e *Engine) recycle(idx int32) {
 
 // Step fires the next pending event, if any, and reports whether an
 // event was fired. Cancelled events are drained silently.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		idx := e.heap[0]
-		e.popRoot()
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
+// step fires the next live event if it is due by deadline, draining
+// cancelled events ahead of it, and reports whether one fired.
+func (e *Engine) step(deadline units.Time) bool {
+	for {
+		idx, from := e.next()
+		if idx < 0 {
+			return false
+		}
 		s := &e.slots[idx]
+		if !s.live() {
+			e.remove(from)
+			e.recycle(idx)
+			continue
+		}
+		if s.at > deadline {
+			return false
+		}
+		e.remove(from)
 		at := s.at
 		fn, afn, arg := s.fn, s.afn, s.arg
 		e.recycle(idx)
-		if fn == nil && afn == nil {
-			continue // cancelled
-		}
 		if at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -217,7 +252,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -232,12 +266,7 @@ func (e *Engine) Run() {
 // queued.
 func (e *Engine) RunUntil(deadline units.Time) {
 	e.stopped = false
-	for !e.stopped {
-		t, ok := e.NextEventAt()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.step(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -255,16 +284,93 @@ func (e *Engine) Stop() { e.stopped = true }
 // NextEventAt returns the time of the next live event, or ok=false if
 // the queue is empty. Cancelled events at the front are drained.
 func (e *Engine) NextEventAt() (t units.Time, ok bool) {
-	for len(e.heap) > 0 {
-		s := &e.slots[e.heap[0]]
-		if s.live() {
+	for {
+		idx, from := e.next()
+		if idx < 0 {
+			return 0, false
+		}
+		if s := &e.slots[idx]; s.live() {
 			return s.at, true
 		}
-		idx := e.heap[0]
-		e.popRoot()
+		e.remove(from)
 		e.recycle(idx)
 	}
-	return 0, false
+}
+
+// next returns the queued slot that fires first, live or cancelled —
+// the heap root or a fixed-delay FIFO's head, whichever is earlier by
+// (at, seq) — and the FIFO holding it (nil for the heap). It returns
+// -1 when nothing is queued.
+func (e *Engine) next() (int32, *FixedDelay) {
+	idx := int32(-1)
+	if len(e.heap) > 0 {
+		idx = e.heap[0]
+	}
+	var from *FixedDelay
+	for _, q := range e.fixed {
+		if q.q.Len() == 0 {
+			continue
+		}
+		if h := q.q.Peek(); idx < 0 || e.before(h, idx) {
+			idx, from = h, q
+		}
+	}
+	return idx, from
+}
+
+// remove dequeues the slot next returned from its queue.
+func (e *Engine) remove(from *FixedDelay) {
+	if from == nil {
+		e.popRoot()
+		return
+	}
+	from.q.Pop()
+}
+
+// ---------------------------------------------------------------
+// Fixed-delay FIFOs.
+
+// FixedDelay is an event queue that takes only events scheduled with
+// one constant delay. Such events need no heap: each gets the engine's
+// next seq and fires at now+delay, and the clock never goes backwards,
+// so they arrive in the FIFO already sorted by (at, seq). The engine
+// fires the earlier of the heap root and the FIFO heads, which keeps
+// the global firing order exactly what the heap alone would give.
+// Handles are ordinary Events: Cancel stays O(1) and lazy, and a
+// cancelled entry is drained when it reaches the head.
+type FixedDelay struct {
+	e     *Engine
+	delay units.Time
+	q     FIFO[int32] // slot indexes in (at, seq) order
+}
+
+// FixedDelay returns the engine's fixed-delay FIFO for delay d,
+// creating it on first use. Negative delays panic.
+func (e *Engine) FixedDelay(d units.Time) *FixedDelay {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	for _, q := range e.fixed {
+		if q.delay == d {
+			return q
+		}
+	}
+	q := &FixedDelay{e: e, delay: d}
+	e.fixed = append(e.fixed, q)
+	return q
+}
+
+// Schedule queues fn to run after the FIFO's delay. It fires in the
+// same order, relative to every other event, as Engine.Schedule with
+// that delay would.
+func (q *FixedDelay) Schedule(fn func()) Event {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	e := q.e
+	idx := e.alloc(e.now+q.delay, fn, nil, nil)
+	q.q.Push(idx)
+	return Event{idx: idx, gen: e.slots[idx].gen}
 }
 
 // ---------------------------------------------------------------

@@ -37,6 +37,15 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// Peek returns the head without removing it. It panics on an empty
+// queue.
+func (q *FIFO[T]) Peek() T {
+	if q.n == 0 {
+		panic("sim: Peek on empty FIFO")
+	}
+	return q.buf[q.head]
+}
+
 // At returns the i-th element from the head (0 is the next Pop).
 func (q *FIFO[T]) At(i int) T {
 	if i < 0 || i >= q.n {
